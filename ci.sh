@@ -136,6 +136,14 @@ cargo run -q --release -p rt-bench --bin quality -- --smoke --out "$quality_out"
 test -s "$quality_out"
 grep -q '"schema": "bench-quality/v1"' "$quality_out"
 
+echo "== framebench smoke =="
+# The end-to-end frame benchmark (framebench/, its own workspace) at smoke
+# size: every workload, untraced and traced, on two seeds. Each run checks
+# every program frame against the benchmark's oracle, built from the
+# unaccelerated per-slab render_intermediate, so a frame path whose
+# scanline-bounds acceleration drifted from the plain renderer fails here.
+cargo test --release --offline --manifest-path framebench/Cargo.toml
+
 echo "== display wall smoke =="
 # The tile-ownership display-wall workload at CI size (720p virtual
 # framebuffer onto a 2x2 wall): every cell is verified pixel-for-pixel

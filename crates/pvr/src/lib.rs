@@ -10,6 +10,11 @@
 //!    [`rt_core`] method/codec over the [`rt_comm`] multicomputer, and the
 //!    root warps the composited intermediate image to the screen.
 //!
+//! Every path renders its slabs through one prepared volume: generated
+//! once, partitioned once per principal axis, and shear-warped with
+//! scanline opacity bounds (pixel-exact coherence acceleration,
+//! [`rt_render::accel`]).
+//!
 //! Two entry points:
 //!
 //! * [`scene::prepare_scene`] + [`scene::compose_scene`] — render the
@@ -28,6 +33,7 @@
 pub mod animate;
 pub mod permute;
 pub mod pipeline;
+mod prepared;
 pub mod scene;
 pub mod stream;
 

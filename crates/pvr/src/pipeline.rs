@@ -7,6 +7,7 @@
 //! finishes with the 2-D warp — the complete system of the paper.
 
 use crate::permute::permute_plan;
+use crate::prepared::PreparedVolume;
 use crate::PvrError;
 use rt_comm::{ComputeKind, FaultPlan, Trace};
 use rt_compress::CodecKind;
@@ -15,10 +16,9 @@ use rt_core::method::Method;
 use rt_core::repair::DegradedInfo;
 use rt_core::tile::compose_plan;
 use rt_imaging::{GrayAlpha, Image};
-use rt_render::camera::{factorize, Camera};
+use rt_render::camera::Camera;
 use rt_render::datasets::Dataset;
-use rt_render::partition::{depth_order, partition_1d};
-use rt_render::shearwarp::{render_intermediate, warp_to_screen, RenderOptions};
+use rt_render::shearwarp::{warp_to_screen, RenderOptions};
 
 /// Configuration of one pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,20 +142,11 @@ fn render_frame_inner(
     transport: TransportKind,
 ) -> Result<PipelineOutput, PvrError> {
     // Data partitioning stage (host side, as the paper's stage 1): rank r
-    // owns slab r along the view's principal axis. The factorization is
-    // pure camera/geometry math — bit-identical to what each rank's render
-    // derives internally — so no probe render of the whole volume is
-    // needed to learn the axis.
-    let volume = config.dataset.generate(config.volume_size, config.seed);
-    let tf = config.dataset.transfer_function();
-    let f = factorize(
-        &config.camera,
-        volume.dims(),
-        config.render.width,
-        config.render.height,
-    );
-    let parts = partition_1d(&volume, p, f.axis)?;
-    let rank_of_depth = depth_order(&parts, &f);
+    // owns slab r along the view's principal axis.
+    let prepared = PreparedVolume::generate(p, config.dataset, config.volume_size, config.seed);
+    let f = prepared.factorize(&config.camera, &config.render);
+    let slabs = prepared.slabs(f.axis)?;
+    let rank_of_depth = slabs.depth_order(&f);
 
     // Compile and verify the plan in depth coordinates, then relabel onto
     // the physical ranks for this view. Step-structured methods compile to
@@ -174,16 +165,14 @@ fn render_frame_inner(
         .with_transport(transport);
 
     type RankOut = (Option<Image<GrayAlpha>>, Option<DegradedInfo>);
-    let parts_cell = std::sync::Mutex::new(parts.into_iter().map(Some).collect::<Vec<_>>());
     let mc = Machine::build(p, &compose_config, faults, None);
     let (results, trace) = mc.run(|ctx| -> Result<RankOut, PvrError> {
-        let sub = parts_cell.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
-            .take()
-            .ok_or_else(|| PvrError::Config {
-                what: format!("rank {} has no subvolume to render", ctx.rank()),
-            })?;
+        let rank = ctx.rank();
+        let sub = slabs.parts().get(rank).ok_or_else(|| PvrError::Config {
+            what: format!("rank {rank} has no subvolume to render"),
+        })?;
         ctx.mark("render:start");
-        let (partial, _) = render_intermediate(&sub, &tf, &config.camera, &config.render);
+        let partial = slabs.render(rank, &config.camera, &config.render);
         ctx.compute(ComputeKind::Render, sub.vol.len() as u64);
         ctx.mark("render:end");
         ctx.barrier().map_err(rt_core::CoreError::from)?;

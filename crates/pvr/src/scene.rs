@@ -6,6 +6,7 @@
 //! [`compose_scene`] replays the composition stage over the multicomputer
 //! for each combination.
 
+use crate::prepared::PreparedVolume;
 use crate::PvrError;
 use rt_comm::Trace;
 use rt_compress::CodecKind;
@@ -14,10 +15,9 @@ use rt_core::method::{CompositionMethod, Method};
 use rt_core::schedule::verify_schedule;
 use rt_core::tile::run_plan_composition;
 use rt_imaging::{GrayAlpha, Image};
-use rt_render::camera::{factorize, Camera, Factorization};
+use rt_render::camera::{Camera, Factorization};
 use rt_render::datasets::Dataset;
-use rt_render::partition::{depth_order, partition_1d};
-use rt_render::shearwarp::{render_intermediate, RenderOptions};
+use rt_render::shearwarp::RenderOptions;
 
 /// Pre-rendered composition inputs: `partials[d]` is the partial
 /// intermediate image at depth position `d` (0 = nearest the viewer).
@@ -66,7 +66,8 @@ impl Scene {
 }
 
 /// Render a scene: generate the dataset, slab-partition it along the view's
-/// principal axis, shear-warp each slab, and sort the partials by depth.
+/// principal axis, shear-warp each slab (skipping transparent scanline
+/// runs, byte-identical to the plain scan), and sort the partials by depth.
 pub fn prepare_scene(
     p: usize,
     dataset: Dataset,
@@ -75,21 +76,17 @@ pub fn prepare_scene(
     camera: &Camera,
     opts: &RenderOptions,
 ) -> Result<Scene, PvrError> {
-    let volume = dataset.generate(volume_size, seed);
-    // Factorize once to learn the principal axis, then partition along it
-    // so slabs stack in depth. (The factorization is pure camera/geometry
-    // math — identical to what each slab's render derives internally.)
-    let f = factorize(camera, volume.dims(), opts.width, opts.height);
-    let parts = partition_1d(&volume, p, f.axis)?;
-    let order = depth_order(&parts, &f);
-    let tf = dataset.transfer_function();
+    let prepared = PreparedVolume::generate(p, dataset, volume_size, seed);
+    let f = prepared.factorize(camera, opts);
+    let slabs = prepared.slabs(f.axis)?;
     // Slabs render independently — the embarrassingly parallel stage the
     // multicomputer distributes; on the host we hand it to rayon.
     let partials: Vec<_> = {
         use rayon::prelude::*;
-        order
+        slabs
+            .depth_order(&f)
             .par_iter()
-            .map(|&i| render_intermediate(&parts[i], &tf, camera, opts).0)
+            .map(|&i| slabs.render(i, camera, opts))
             .collect()
     };
     Ok(Scene {

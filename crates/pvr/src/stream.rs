@@ -7,8 +7,11 @@
 //! module removes it:
 //!
 //! * **Per-rank render thread.** Each rank spawns a renderer that
-//!   shear-warps its subvolume for upcoming frames into fresh partials and
-//!   hands them over a bounded channel. While the rank's compose loop works
+//!   shear-warps its slab for upcoming frames into fresh partials and
+//!   hands them over a bounded channel. The stream generates its volume
+//!   once and cuts it along every principal axis the orbit uses; a
+//!   renderer builds its slab's scanline bounds the first time it renders
+//!   on an axis, and reuses them on every later frame on that axis. While the rank's compose loop works
 //!   on frame `k`, the renderer is already producing frame `k+1`.
 //! * **Bounded in-flight window.** The hand-off channel holds at most
 //!   `window - 1` rendered frames (default window 2), so the renderer
@@ -40,22 +43,21 @@
 //! dead rank is consumed before the death marker, and the marker then
 //! fails the first frame the rank truly abandoned, fast.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 
 use crate::animate::{orbit_cameras, FrameStats, OrbitConfig};
 use crate::permute::permute_plan;
 use crate::pipeline::PipelineConfig;
+use crate::prepared::{PreparedVolume, Slabs};
 use crate::PvrError;
 use rt_comm::{replay, ComputeKind, CostModel, FaultPlan, RankCtx, RankTrace, Trace};
 use rt_core::exec::{ComposeConfig, Machine, ScratchPool, TransportKind};
 use rt_core::repair::DegradedInfo;
 use rt_core::tile::{compose_plan, ComposePlan};
 use rt_imaging::{GrayAlpha, Image};
-use rt_render::camera::{factorize, Camera, Factorization};
-use rt_render::partition::{depth_order, partition_1d, Subvolume};
-use rt_render::shearwarp::{render_intermediate, warp_to_screen};
-use rt_render::tf::TransferFunction;
+use rt_render::camera::{Camera, Factorization};
+use rt_render::shearwarp::warp_to_screen;
 
 /// Configuration of one streaming run: the per-frame pipeline settings
 /// plus the streaming-specific knobs.
@@ -256,7 +258,7 @@ struct FramePlan {
     yaw: f64,
     camera: Camera,
     f: Factorization,
-    parts: Arc<Vec<Subvolume>>,
+    slabs: Arc<Slabs>,
     rank_of_depth: Vec<usize>,
     compose: Arc<ComposePlan>,
 }
@@ -282,39 +284,20 @@ struct Contribution {
     outcome: FrameOutcome,
 }
 
-/// Derive every frame's partition/schedule once, on the host — the volume
-/// is generated once for the whole stream and partitions are cached per
-/// principal axis (there are at most three).
+/// Derive every frame's partition/schedule once, on the host, from the
+/// stream's one prepared volume (partitioned once per principal axis;
+/// there are at most three).
 fn plan_frames(
-    p: usize,
+    prepared: &PreparedVolume,
     base: &PipelineConfig,
     orbit: &OrbitConfig,
-) -> Result<(Vec<FramePlan>, TransferFunction), PvrError> {
-    if orbit.frames == 0 {
-        return Err(PvrError::Config {
-            what: "a stream needs at least one frame".into(),
-        });
-    }
-    let volume = base.dataset.generate(base.volume_size, base.seed);
-    let tf = base.dataset.transfer_function();
-    let mut parts_by_axis: HashMap<usize, Arc<Vec<Subvolume>>> = HashMap::new();
+) -> Result<Vec<FramePlan>, PvrError> {
+    let p = prepared.p();
     let mut plans = Vec::with_capacity(orbit.frames);
     for (index, (yaw, camera)) in orbit_cameras(orbit).into_iter().enumerate() {
-        let f = factorize(
-            &camera,
-            volume.dims(),
-            base.render.width,
-            base.render.height,
-        );
-        let parts = match parts_by_axis.get(&f.axis) {
-            Some(parts) => Arc::clone(parts),
-            None => {
-                let parts = Arc::new(partition_1d(&volume, p, f.axis)?);
-                parts_by_axis.insert(f.axis, Arc::clone(&parts));
-                parts
-            }
-        };
-        let rank_of_depth = depth_order(&parts, &f);
+        let f = prepared.factorize(&camera, &base.render);
+        let slabs = prepared.slabs(f.axis)?;
+        let rank_of_depth = slabs.depth_order(&f);
         let depth_plan = base.method.plan(p, f.inter_size.0, f.inter_size.1)?;
         depth_plan.verify()?;
         let compose = Arc::new(permute_plan(&depth_plan, &rank_of_depth)?);
@@ -323,12 +306,12 @@ fn plan_frames(
             yaw,
             camera,
             f,
-            parts,
+            slabs,
             rank_of_depth,
             compose,
         });
     }
-    Ok((plans, tf))
+    Ok(plans)
 }
 
 fn run_stream(
@@ -338,8 +321,20 @@ fn run_stream(
     pool: &ScratchPool<GrayAlpha>,
     out: &mpsc::Sender<Result<StreamFrame, PvrError>>,
 ) {
-    let (plans, tf) = match plan_frames(p, &config.base, orbit) {
-        Ok(ok) => ok,
+    if orbit.frames == 0 {
+        let _ = out.send(Err(PvrError::Config {
+            what: "a stream needs at least one frame".into(),
+        }));
+        return;
+    }
+    // Planning cuts every axis the orbit uses; the full volume is dropped
+    // once it has.
+    let base = &config.base;
+    let prepared = PreparedVolume::generate(p, base.dataset, base.volume_size, base.seed);
+    let plans = plan_frames(&prepared, base, orbit);
+    drop(prepared);
+    let plans = match plans {
+        Ok(plans) => plans,
         Err(e) => {
             let _ = out.send(Err(e));
             return;
@@ -366,7 +361,7 @@ fn run_stream(
         let emitter =
             scope.spawn(move || emit_frames(p, n_frames, &frame_meta, cost, &ctb_rx, out));
         machine.run(|ctx| {
-            stream_rank(ctx, config, &plans, &tf, pool, &compose_cfg, &ctb_tx);
+            stream_rank(ctx, config, &plans, pool, &compose_cfg, &ctb_tx);
         });
         drop(ctb_tx);
         let _ = emitter.join();
@@ -379,7 +374,6 @@ fn stream_rank(
     ctx: &mut RankCtx,
     config: &StreamConfig,
     plans: &[FramePlan],
-    tf: &TransferFunction,
     pool: &ScratchPool<GrayAlpha>,
     compose_cfg: &ComposeConfig,
     ctb_tx: &mpsc::Sender<Contribution>,
@@ -414,7 +408,7 @@ fn stream_rank(
                 if my_death.is_some_and(|death| plan.index >= death) {
                     break;
                 }
-                let (partial, _) = render_intermediate(&plan.parts[me], tf, &plan.camera, render);
+                let partial = plan.slabs.render(me, &plan.camera, render);
                 if part_tx.send((plan.index, partial)).is_err() {
                     break; // compose loop stopped; backpressure doubles as shutdown
                 }
@@ -448,7 +442,7 @@ fn stream_rank(
             debug_assert_eq!(rendered, k, "renderer and compose loop out of step");
             ctx.mark(format!("frame:{k}:start"));
             ctx.mark("render:start");
-            ctx.compute(ComputeKind::Render, plan.parts[me].vol.len() as u64);
+            ctx.compute(ComputeKind::Render, plan.slabs.parts()[me].vol.len() as u64);
             ctx.mark("render:end");
             let frame_cfg = compose_cfg.with_frame(k as u64);
             // Double-buffered scratch: frames alternate between two

@@ -12,7 +12,10 @@
 //!
 //! The structure is classification-dependent (like Lacroute's): rebuild it
 //! when the transfer function changes, reuse it across views sharing a
-//! principal axis.
+//! principal axis. It also records the subvolume extents it was built for,
+//! and the renderer ignores bounds built for another subvolume or
+//! principal axis than the ones it renders — bounds are an optimisation,
+//! never a source of missing voxels.
 
 use crate::camera::Factorization;
 use crate::partition::Subvolume;
@@ -46,6 +49,9 @@ pub struct SliceBounds {
     k_lo: usize,
     k_hi: usize,
     j_lo: usize,
+    /// Per-object-axis extents `[lo, hi)` of the subvolume the bounds
+    /// describe.
+    extents: [(usize, usize); 3],
     bounds: Vec<ScanBound>,
     /// Number of non-transparent voxels (occupancy statistic).
     pub opaque_voxels: usize,
@@ -100,9 +106,17 @@ impl SliceBounds {
             k_lo,
             k_hi,
             j_lo,
+            extents: extents_of(sub),
             bounds,
             opaque_voxels,
         }
+    }
+
+    /// True if these bounds were built for `sub`'s extents and `f`'s
+    /// principal axis. Bounds of another slab or axis answer `EMPTY` for
+    /// scanlines they never saw, so the renderer only uses matching ones.
+    pub(crate) fn matches(&self, sub: &Subvolume, f: &Factorization) -> bool {
+        self.axis == f.axis && self.extents == extents_of(sub)
     }
 
     /// Bounds of scanline `(k, j)` in global coordinates; `EMPTY` when the
@@ -152,6 +166,10 @@ impl SliceBounds {
         }
         self.opaque_voxels as f64 / total_voxels as f64
     }
+}
+
+fn extents_of(sub: &Subvolume) -> [(usize, usize); 3] {
+    [sub.extent(0), sub.extent(1), sub.extent(2)]
 }
 
 #[cfg(test)]
@@ -211,8 +229,26 @@ mod tests {
         assert_eq!(b.row_bound(0, 1), ScanBound { lo: 0, hi: 3 });
         // Fully empty row pair.
         assert!(b.row_bound(0, 5).is_empty());
-        // Negative floor is handled.
-        assert!(b.row_bound(0, -1).is_empty() || !b.row_bound(0, -1).is_empty());
+        // A negative floor only sees row 0, which is empty here.
+        assert_eq!(b.row_bound(0, -1), b.get(0, 0));
+        assert!(b.row_bound(0, -1).is_empty());
+    }
+
+    #[test]
+    fn negative_floor_row_bound_is_row_zero() {
+        // Row 0 holds content: a sample just above it (floor -1) reaches
+        // exactly row 0's interval.
+        let mut vol = Volume::zeros(8, 8, 8);
+        vol.set(4, 0, 0, 200);
+        vol.set(2, 1, 0, 200);
+        let tf = TransferFunction::ramp(1, 255, 0.5);
+        let b = build_for(vol, &tf);
+        assert_eq!(b.get(0, 0), ScanBound { lo: 3, hi: 6 });
+        assert_eq!(b.row_bound(0, -1), b.get(0, 0));
+        // Row 1 does not leak into the floor -1 pair, but joins floor 0.
+        assert_eq!(b.row_bound(0, 0), ScanBound { lo: 1, hi: 6 });
+        // A slice with nothing in row 0 stays empty.
+        assert!(b.row_bound(1, -1).is_empty());
     }
 
     #[test]

@@ -269,6 +269,25 @@ mod tests {
     }
 
     #[test]
+    fn every_preset_transfer_function_is_an_interval() {
+        // The frame paths only build scanline bounds for interval transfer
+        // functions; a preset that is not one would silently render every
+        // frame with the full scan.
+        use Dataset::*;
+        for ds in [Engine, Brain, Head, Sphere, Ramp] {
+            // Exhaustive on purpose: a new preset must be listed above.
+            match ds {
+                Engine | Brain | Head | Sphere | Ramp => {}
+            }
+            assert!(
+                ds.transfer_function().transparent_is_interval(),
+                "{}",
+                ds.name()
+            );
+        }
+    }
+
+    #[test]
     fn sphere_and_ramp_ignore_seed() {
         assert_eq!(
             Dataset::Sphere.generate(16, 1),

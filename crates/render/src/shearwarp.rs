@@ -110,7 +110,9 @@ pub fn render_intermediate(
 /// acceleration at scanline granularity. Output is identical to the
 /// unaccelerated render (asserted by tests); the transfer function's
 /// transparent scalars must form one interval (all presets do — see
-/// [`TransferFunction::transparent_is_interval`]).
+/// [`TransferFunction::transparent_is_interval`]). Bounds that were built
+/// for another subvolume or principal axis are ignored, and the slab is
+/// rendered with the full scan.
 pub fn render_intermediate_accel(
     sub: &Subvolume,
     tf: &TransferFunction,
@@ -204,9 +206,9 @@ fn render_intermediate_impl(
     let (i_lo, i_hi) = sub.extent(f.plane.0);
     let (j_lo, j_hi) = sub.extent(f.plane.1);
     let w = inter.width();
-    if let Some(b) = bounds {
-        debug_assert_eq!(b.axis, f.axis, "bounds built for a different axis");
-    }
+    // Bounds of another slab or axis would skip real voxels; the full
+    // scan is always exact.
+    let bounds = bounds.filter(|b| b.matches(sub, &f));
 
     // Precompute the depth-ordered slice jobs; both drivers walk this list
     // in order, so every pixel sees its slices front-to-back either way.
@@ -541,6 +543,33 @@ mod accel_tests {
     }
 
     #[test]
+    fn mismatched_bounds_fall_back_to_the_full_scan() {
+        // Slab 0's bounds say nothing about slab 1's voxels: handed to
+        // slab 1 (or built for another axis) they are ignored, and the
+        // render equals the unaccelerated one — in every build profile.
+        let vol = Dataset::Head.generate(20, 5);
+        let tf = Dataset::Head.transfer_function();
+        let camera = Camera::yaw_pitch(0.3, 0.15);
+        let opts = RenderOptions::square(48);
+        let f = factorize(&camera, vol.dims(), opts.width, opts.height);
+        let parts = partition_1d(&vol, 2, f.axis).unwrap();
+        let slab0 = SliceBounds::build(&parts[0], &tf, &f);
+        let (plain, _) = render_intermediate(&parts[1], &tf, &camera, &opts);
+        assert!(plain.count_non_blank() > 0, "slab 1 must have content");
+        let (got, _) = render_intermediate_accel(&parts[1], &tf, &camera, &opts, &slab0);
+        assert_eq!(plain, got);
+
+        let side = Camera::yaw_pitch(1.4, 0.1);
+        let fs = factorize(&side, vol.dims(), opts.width, opts.height);
+        assert_ne!(fs.axis, f.axis);
+        let whole = Subvolume::whole(vol);
+        let wrong_axis = SliceBounds::build(&whole, &tf, &f);
+        let (plain, _) = render_intermediate(&whole, &tf, &side, &opts);
+        let (got, _) = render_intermediate_accel(&whole, &tf, &side, &opts, &wrong_axis);
+        assert_eq!(plain, got);
+    }
+
+    #[test]
     #[should_panic(expected = "interval transparent set")]
     fn non_interval_tf_is_rejected() {
         // Transparent at zero AND in a mid-range window: two disjoint
@@ -558,5 +587,79 @@ mod accel_tests {
         let f = factorize(&Camera::front(), sub.full, 16, 16);
         let bounds = SliceBounds::build(&sub, &tf, &f);
         render_intermediate_accel(&sub, &tf, &Camera::front(), &opts, &bounds);
+    }
+}
+
+#[cfg(test)]
+mod accel_props {
+    //! Property: the scanline-bounds render of a slab is byte-identical to
+    //! the plain render, for every dataset, machine size, principal axis,
+    //! termination threshold, frame shape and driver.
+    use super::*;
+    use crate::accel::SliceBounds;
+    use crate::datasets::Dataset;
+    use crate::partition::partition_1d;
+    use proptest::prelude::*;
+    use std::f64::consts::{FRAC_PI_2, PI};
+
+    prop_compose! {
+        /// A camera whose principal axis is `axis` (jittered around that
+        /// axis, either traversal direction), paired with the axis.
+        fn view()(
+            axis in 0usize..3,
+            u in -0.6f64..0.6,
+            v in -0.6f64..0.6,
+            back in any::<bool>(),
+        ) -> (usize, Camera) {
+            let turn = if back { PI } else { 0.0 };
+            let camera = match axis {
+                0 => Camera::yaw_pitch(FRAC_PI_2 + u + turn, v),
+                1 => Camera::yaw_pitch(u * 5.0, (FRAC_PI_2 - 0.05 - v.abs()) * v.signum()),
+                _ => Camera::yaw_pitch(u + turn, v),
+            };
+            (axis, camera)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn accelerated_slabs_match_plain_render(
+            dataset in 0usize..3,
+            p in 1usize..=8,
+            view in view(),
+            et in prop_oneof![Just(0.98f32), Just(1.0f32)],
+            width in 1usize..48,
+            height in 1usize..48,
+            parallel in any::<bool>(),
+            seed in 0u64..1000,
+        ) {
+            let dataset = Dataset::PAPER[dataset];
+            let (axis, camera) = view;
+            let vol = dataset.generate(16, seed);
+            let tf = dataset.transfer_function();
+            let opts = RenderOptions {
+                width,
+                height,
+                early_termination: et,
+                parallel,
+            };
+            let f = factorize(&camera, vol.dims(), width, height);
+            prop_assert_eq!(f.axis, axis, "{:?}", camera);
+            for part in partition_1d(&vol, p, f.axis).unwrap() {
+                let bounds = SliceBounds::build(&part, &tf, &f);
+                let (plain, _) = render_intermediate(&part, &tf, &camera, &opts);
+                let (fast, _) = render_intermediate_accel(&part, &tf, &camera, &opts, &bounds);
+                prop_assert_eq!(
+                    plain.pixels(),
+                    fast.pixels(),
+                    "{} p={} {:?} {:?} slab {:?}",
+                    dataset.name(),
+                    p,
+                    camera,
+                    opts,
+                    part.offset
+                );
+            }
+        }
     }
 }

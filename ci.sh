@@ -39,6 +39,16 @@ cargo test -q --release --doc -p rotate-tiling
 echo "== tests (PROPTEST_CASES=$PROPTEST_CASES) =="
 cargo test --workspace -q
 
+echo "== render kernel exactness =="
+# The shear-warp row kernel, the stride-walking scanline-bounds build and
+# the exact floor/round helpers against their test-only oracles (the
+# per-pixel sampler, the per-voxel build, f64::floor/f64::round), at a
+# deeper case count than the workspace stage: every frame path renders
+# through this kernel, so a bit of drift anywhere shows in every frame.
+PROPTEST_CASES=256 cargo test -q --release -p rt-render --lib -- \
+    row_kernel_matches_per_pixel_reference accelerated_slabs_match_plain_render \
+    stride_walk_matches_the_per_voxel_build floor_and_round_match_std
+
 echo "== chaos smoke =="
 # One tiny fault-tolerance sweep end to end: must print only bit-exact
 # frames and a degradation report, and must be deterministic across reruns.

@@ -144,7 +144,7 @@ fn render_frame_inner(
     // Data partitioning stage (host side, as the paper's stage 1): rank r
     // owns slab r along the view's principal axis.
     let prepared = PreparedVolume::generate(p, config.dataset, config.volume_size, config.seed);
-    let f = prepared.factorize(&config.camera, &config.render);
+    let f = prepared.factorize(&config.camera, &config.render)?;
     let slabs = prepared.slabs(f.axis)?;
     let rank_of_depth = slabs.depth_order(&f);
 
@@ -397,5 +397,24 @@ mod tests {
         assert!(info.lost_contributions.contains(&2));
         // The frame still renders (survivors' composite, warped).
         assert!(out.frame.pixels().iter().all(|px| px.a.is_finite()));
+    }
+
+    #[test]
+    fn unrenderable_cameras_fail_typed_on_every_entry_point() {
+        let pool = rt_core::exec::ScratchPool::new();
+        for camera in crate::prepared::unrenderable_cameras() {
+            let config = PipelineConfig {
+                camera,
+                ..PipelineConfig::small(Method::ParallelPipelined)
+            };
+            for err in [
+                render_frame(2, &config).unwrap_err(),
+                render_frame_on(2, &config, TransportKind::InProc).unwrap_err(),
+                render_frame_with_faults(2, &config, FaultPlan::none().drop_rate(0.1)).unwrap_err(),
+                render_frame_pooled(2, &config, FaultPlan::none(), &pool).unwrap_err(),
+            ] {
+                assert!(matches!(err, PvrError::Config { .. }), "{camera:?}: {err}");
+            }
+        }
     }
 }

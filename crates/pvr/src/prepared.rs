@@ -13,7 +13,9 @@
 //! [`Slabs::render`] is the only way the pipeline, the stream and the
 //! scene render a slab. Its output is byte-identical to
 //! the unaccelerated [`rt_render::shearwarp::render_intermediate`], which
-//! stays as the oracle of the tests. Bounds are only built when the
+//! stays as the oracle of the scanline bounds in the tests (it shares the
+//! row kernel; the kernel's own oracle is the per-pixel reference sampler
+//! in `rt-render`'s tests). Bounds are only built when the
 //! transfer function's transparent set is an interval (every
 //! [`Dataset`] preset's is); any other transfer function renders with the
 //! full scan.
@@ -78,8 +80,38 @@ impl PreparedVolume {
     /// The view factorization of `camera` for this volume and frame. It is
     /// pure camera/geometry math, identical to what each slab's render
     /// derives internally, so no probe render is needed to learn the axis.
-    pub(crate) fn factorize(&self, camera: &Camera, opts: &RenderOptions) -> Factorization {
-        factorize(camera, self.volume.dims(), opts.width, opts.height)
+    ///
+    /// Errors with [`PvrError::Config`] when the camera cannot be rendered:
+    /// a non-finite angle, a negative or non-finite scale, or a warp whose
+    /// inverse is not finite (a scale so large the screen map overflows).
+    /// Every frame path factorizes here first, so such a view fails typed
+    /// instead of rendering garbage.
+    pub(crate) fn factorize(
+        &self,
+        camera: &Camera,
+        opts: &RenderOptions,
+    ) -> Result<Factorization, PvrError> {
+        let bad = |what: &str| PvrError::Config {
+            what: format!("camera {camera:?}: {what}"),
+        };
+        if ![camera.yaw, camera.pitch, camera.roll]
+            .iter()
+            .all(|a| a.is_finite())
+        {
+            return Err(bad("non-finite angle"));
+        }
+        if !(camera.scale.is_finite() && camera.scale >= 0.0) {
+            return Err(bad("scale must be finite and non-negative"));
+        }
+        let f = factorize(camera, self.volume.dims(), opts.width, opts.height);
+        let finite_inverse = f
+            .warp
+            .inverse()
+            .is_some_and(|inv| inv.x.iter().chain(&inv.y).all(|c| c.is_finite()));
+        if !finite_inverse {
+            return Err(bad("the screen warp has no finite inverse"));
+        }
+        Ok(f)
     }
 
     /// The slabs along principal axis `axis` (0..3), partitioning the
@@ -138,9 +170,52 @@ impl Slabs {
     }
 }
 
+/// Views [`PreparedVolume::factorize`] must reject: non-finite angles, a
+/// non-finite or negative scale, and finite scales whose screen warp has
+/// no finite inverse (too large: its determinant overflows; too small: it
+/// is degenerate).
+#[cfg(test)]
+pub(crate) fn unrenderable_cameras() -> Vec<Camera> {
+    let scaled = |scale| Camera {
+        scale,
+        ..Camera::yaw_pitch(0.3, 0.15)
+    };
+    vec![
+        Camera::yaw_pitch(f64::NAN, 0.0),
+        Camera::yaw_pitch(0.3, f64::INFINITY),
+        Camera {
+            roll: f64::NAN,
+            ..Camera::front()
+        },
+        scaled(f64::INFINITY),
+        scaled(f64::NAN),
+        scaled(-1.0),
+        scaled(1e300),
+        scaled(1e-300),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unrenderable_cameras_are_config_errors() {
+        let prepared = PreparedVolume::generate(2, Dataset::Engine, 12, 1);
+        let opts = RenderOptions::square(32);
+        for camera in unrenderable_cameras() {
+            let err = prepared.factorize(&camera, &opts).unwrap_err();
+            assert!(matches!(err, PvrError::Config { .. }), "{camera:?}: {err}");
+        }
+        // An explicit finite scale, and the auto-fit one, still render.
+        for scale in [0.0, 2.0] {
+            let camera = Camera {
+                scale,
+                ..Camera::yaw_pitch(0.3, 0.15)
+            };
+            assert!(prepared.factorize(&camera, &opts).is_ok(), "{camera:?}");
+        }
+    }
 
     fn plain(
         sub: &Subvolume,
@@ -162,7 +237,7 @@ mod tests {
             Camera::yaw_pitch(0.2, 1.3),
             Camera::yaw_pitch(std::f64::consts::PI - 0.3, -0.2),
         ] {
-            let f = prepared.factorize(&camera, &opts);
+            let f = prepared.factorize(&camera, &opts).unwrap();
             let slabs = prepared.slabs(f.axis).unwrap();
             for (r, sub) in slabs.parts().iter().enumerate() {
                 let want = plain(sub, &tf, &camera, &opts);
@@ -204,7 +279,7 @@ mod tests {
         let prepared = PreparedVolume::new(2, Dataset::Engine.generate(12, 2), tf.clone());
         let camera = Camera::yaw_pitch(0.3, 0.2);
         let opts = RenderOptions::square(24);
-        let f = prepared.factorize(&camera, &opts);
+        let f = prepared.factorize(&camera, &opts).unwrap();
         let slabs = prepared.slabs(f.axis).unwrap();
         for (r, sub) in slabs.parts().iter().enumerate() {
             let got = slabs.render(r, &camera, &opts);

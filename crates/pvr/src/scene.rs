@@ -77,7 +77,7 @@ pub fn prepare_scene(
     opts: &RenderOptions,
 ) -> Result<Scene, PvrError> {
     let prepared = PreparedVolume::generate(p, dataset, volume_size, seed);
-    let f = prepared.factorize(camera, opts);
+    let f = prepared.factorize(camera, opts)?;
     let slabs = prepared.slabs(f.axis)?;
     // Slabs render independently — the embarrassingly parallel stage the
     // multicomputer distributes; on the host we hand it to rayon.
@@ -304,5 +304,18 @@ mod tests {
             trle.bytes_sent(),
             raw.bytes_sent()
         );
+    }
+
+    #[test]
+    fn unrenderable_cameras_fail_typed() {
+        let opts = RenderOptions::square(32);
+        for camera in crate::prepared::unrenderable_cameras() {
+            for err in [
+                prepare_scene(2, Dataset::Engine, 12, 1, &camera, &opts).unwrap_err(),
+                prepare_scene_screen(2, Dataset::Engine, 12, 1, &camera, &opts).unwrap_err(),
+            ] {
+                assert!(matches!(err, PvrError::Config { .. }), "{camera:?}: {err}");
+            }
+        }
     }
 }

@@ -295,7 +295,12 @@ fn plan_frames(
     let p = prepared.p();
     let mut plans = Vec::with_capacity(orbit.frames);
     for (index, (yaw, camera)) in orbit_cameras(orbit).into_iter().enumerate() {
-        let f = prepared.factorize(&camera, &base.render);
+        let f = prepared
+            .factorize(&camera, &base.render)
+            .map_err(|e| PvrError::Frame {
+                index,
+                source: Box::new(e),
+            })?;
         let slabs = prepared.slabs(f.axis)?;
         let rank_of_depth = slabs.depth_order(&f);
         let depth_plan = base.method.plan(p, f.inter_size.0, f.inter_size.1)?;
@@ -831,5 +836,29 @@ mod tests {
             .collect();
         assert!(!spans.is_empty());
         assert!(spans.iter().all(|s| s.frame == Some(2)));
+    }
+
+    #[test]
+    fn unrenderable_orbit_camera_fails_its_frame_typed() {
+        for (start_yaw, pitch) in [(f64::NAN, 0.0), (0.0, f64::INFINITY)] {
+            let orbit = OrbitConfig {
+                frames: 3,
+                start_yaw,
+                end_yaw: 1.0,
+                pitch,
+            };
+            let session = StreamSession::new(2);
+            let mut stream = session
+                .open()
+                .stream_orbit(&StreamConfig::new(base()), &orbit);
+            match stream.next().expect("error emitted").unwrap_err() {
+                PvrError::Frame { index, source } => {
+                    assert_eq!(index, 0);
+                    assert!(matches!(*source, PvrError::Config { .. }), "{source}");
+                }
+                other => panic!("expected frame error, got {other}"),
+            }
+            assert!(stream.next().is_none(), "stream ends at the failed frame");
+        }
     }
 }

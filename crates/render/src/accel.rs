@@ -62,33 +62,32 @@ impl SliceBounds {
     /// principal axis. Cost: one classification pass over the subvolume.
     pub fn build(sub: &Subvolume, tf: &TransferFunction, f: &Factorization) -> Self {
         let (k_lo, k_hi) = sub.extent(f.axis);
-        let (i_lo, i_hi) = sub.extent(f.plane.0);
         let (j_lo, j_hi) = sub.extent(f.plane.1);
+        let i_lo = sub.extent(f.plane.0).0 as isize;
         let nj = j_hi - j_lo;
         let nk = k_hi - k_lo;
-        let mut bounds = vec![ScanBound::EMPTY; nj * nk];
+        // Walk each scanline through the voxel buffer by its stride,
+        // classifying through a 256-entry opacity table.
+        let opaque: [bool; 256] = std::array::from_fn(|s| !tf.is_transparent(s as u8));
+        let stride = sub.vol.strides();
+        let (si, ni) = (stride[f.plane.0], sub.vol.dim(f.plane.0));
+        let voxels = sub.vol.voxels();
+        let mut bounds = Vec::with_capacity(nj * nk);
         let mut opaque_voxels = 0usize;
-        let off = [sub.offset.0, sub.offset.1, sub.offset.2];
-        for k in k_lo..k_hi {
-            for j in j_lo..j_hi {
+        for lk in 0..nk {
+            for lj in 0..nj {
+                let base = lk * stride[f.axis] + lj * stride[f.plane.1];
                 let mut lo = None;
                 let mut hi = 0isize;
-                for i in i_lo..i_hi {
-                    let mut c = [0usize; 3];
-                    c[f.plane.0] = i - off[f.plane.0];
-                    c[f.plane.1] = j - off[f.plane.1];
-                    c[f.axis] = k - off[f.axis];
-                    let scalar = sub.vol.at(c[0], c[1], c[2]);
-                    if !tf.is_transparent(scalar) {
+                for li in 0..ni {
+                    if opaque[voxels[base + li * si] as usize] {
                         opaque_voxels += 1;
-                        if lo.is_none() {
-                            lo = Some(i as isize);
-                        }
-                        hi = i as isize + 1;
+                        let i = i_lo + li as isize;
+                        lo.get_or_insert(i);
+                        hi = i + 1;
                     }
                 }
-                let idx = (k - k_lo) * nj + (j - j_lo);
-                bounds[idx] = match lo {
+                bounds.push(match lo {
                     // Pad by one voxel on each side: a bilinear tap centered
                     // up to one voxel outside the opaque interval can still
                     // pull weight from it.
@@ -97,7 +96,7 @@ impl SliceBounds {
                         hi: hi + 1,
                     },
                     None => ScanBound::EMPTY,
-                };
+                });
             }
         }
         Self {
@@ -249,6 +248,106 @@ mod tests {
         assert_eq!(b.row_bound(0, 0), ScanBound { lo: 1, hi: 6 });
         // A slice with nothing in row 0 stays empty.
         assert!(b.row_bound(1, -1).is_empty());
+    }
+
+    /// The per-voxel build the stride walk replaced, kept as its oracle:
+    /// every voxel is addressed through 3-D coordinates and classified
+    /// through the transfer function.
+    fn build_per_voxel(sub: &Subvolume, tf: &TransferFunction, f: &Factorization) -> SliceBounds {
+        let (k_lo, k_hi) = sub.extent(f.axis);
+        let (i_lo, i_hi) = sub.extent(f.plane.0);
+        let (j_lo, j_hi) = sub.extent(f.plane.1);
+        let nj = j_hi - j_lo;
+        let nk = k_hi - k_lo;
+        let mut bounds = vec![ScanBound::EMPTY; nj * nk];
+        let mut opaque_voxels = 0usize;
+        let off = [sub.offset.0, sub.offset.1, sub.offset.2];
+        for k in k_lo..k_hi {
+            for j in j_lo..j_hi {
+                let mut lo = None;
+                let mut hi = 0isize;
+                for i in i_lo..i_hi {
+                    let mut c = [0usize; 3];
+                    c[f.plane.0] = i - off[f.plane.0];
+                    c[f.plane.1] = j - off[f.plane.1];
+                    c[f.axis] = k - off[f.axis];
+                    let scalar = sub.vol.at(c[0], c[1], c[2]);
+                    if !tf.is_transparent(scalar) {
+                        opaque_voxels += 1;
+                        if lo.is_none() {
+                            lo = Some(i as isize);
+                        }
+                        hi = i as isize + 1;
+                    }
+                }
+                let idx = (k - k_lo) * nj + (j - j_lo);
+                bounds[idx] = match lo {
+                    Some(lo) => ScanBound {
+                        lo: lo - 1,
+                        hi: hi + 1,
+                    },
+                    None => ScanBound::EMPTY,
+                };
+            }
+        }
+        SliceBounds {
+            axis: f.axis,
+            nj,
+            k_lo,
+            k_hi,
+            j_lo,
+            extents: extents_of(sub),
+            bounds,
+            opaque_voxels,
+        }
+    }
+
+    fn assert_same(got: &SliceBounds, want: &SliceBounds, what: &str) {
+        assert_eq!(got.axis, want.axis, "{what}");
+        assert_eq!(
+            (got.nj, got.k_lo, got.k_hi, got.j_lo, got.extents),
+            (want.nj, want.k_lo, want.k_hi, want.j_lo, want.extents),
+            "{what}"
+        );
+        assert_eq!(got.bounds, want.bounds, "{what}");
+        assert_eq!(got.opaque_voxels, want.opaque_voxels, "{what}");
+    }
+
+    #[test]
+    fn stride_walk_matches_the_per_voxel_build() {
+        // Offset slabs cut along each axis (uneven, so slabs differ in
+        // thickness), each bounded for each principal axis: the slab's
+        // offset shifts every bound, and the in-slice stride is 1, nx or
+        // nx·ny depending on the axis pair.
+        let cameras = [
+            Camera::front(),
+            Camera::yaw_pitch(1.4, 0.1),
+            Camera::yaw_pitch(0.2, 1.3),
+            Camera::yaw_pitch(std::f64::consts::PI - 0.3, -0.2),
+        ];
+        let mut axes = [false; 3];
+        for dataset in Dataset::PAPER {
+            let vol = dataset.generate(19, 11);
+            let tf = dataset.transfer_function();
+            for cut in 0..3 {
+                for part in crate::partition::partition_1d(&vol, 3, cut).unwrap() {
+                    for camera in &cameras {
+                        let f = factorize(camera, vol.dims(), 40, 40);
+                        axes[f.axis] = true;
+                        let what = format!(
+                            "{} cut {cut} {:?} axis {}",
+                            dataset.name(),
+                            part.offset,
+                            f.axis
+                        );
+                        let want = build_per_voxel(&part, &tf, &f);
+                        assert!(want.opaque_voxels > 0, "{what}");
+                        assert_same(&SliceBounds::build(&part, &tf, &f), &want, &what);
+                    }
+                }
+            }
+        }
+        assert_eq!(axes, [true; 3], "every principal axis is exercised");
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! Only what the shear-warp factorization needs: rotations, transposes,
 //! matrix–vector products, and a 3×3 solve (used to fit the 2-D warp from
 //! point correspondences). Kept local rather than pulling in a linear
-//! algebra dependency.
+//! algebra dependency. Also the renderer's exact [`floor_i64`] and
+//! [`round_i64`]: on the baseline x86-64 target (no SSE4.1 `roundsd`)
+//! `f64::floor` and `f64::round` are libm calls, too slow for a per-pixel
+//! inner loop.
 
 /// A 3-vector of `f64`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -229,6 +232,44 @@ impl Affine2 {
     }
 }
 
+/// Magnitude bound of the [`floor_i64`]/[`round_i64`] domain: below
+/// `2^63` the truncating `f64 → i64` conversion is exact.
+const EXACT_LIMIT: f64 = 9_223_372_036_854_775_808.0;
+
+/// `x.floor() as i64`, exactly, for finite `|x| < 2^63` — by integer
+/// truncation instead of a libm call, and without a branch.
+///
+/// Outside that domain the result is unspecified (debug builds assert).
+#[inline]
+pub fn floor_i64(x: f64) -> i64 {
+    debug_assert!(
+        x.abs() < EXACT_LIMIT,
+        "floor_i64({x}) outside the exact domain"
+    );
+    let t = x as i64;
+    // Truncation rounds negative non-integers up (`t` converts back to
+    // f64 exactly); step them down.
+    t - ((t as f64) > x) as i64
+}
+
+/// `x.round() as i64` (half away from zero), exactly, for finite
+/// `|x| < 2^63` — by integer truncation instead of a libm call, and
+/// without a branch.
+///
+/// Outside that domain the result is unspecified (debug builds assert).
+#[inline]
+pub fn round_i64(x: f64) -> i64 {
+    debug_assert!(
+        x.abs() < EXACT_LIMIT,
+        "round_i64({x}) outside the exact domain"
+    );
+    let t = x as i64;
+    // `x - t` is exact (|x - t| < 1 and a multiple of x's ulp), so the
+    // half-way tests never round: 0.49999999999999994 stays below 0.5.
+    let frac = x - t as f64;
+    t + (frac >= 0.5) as i64 - (frac <= -0.5) as i64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,5 +341,80 @@ mod tests {
         assert_eq!(Vec3::new(0.1, -0.9, 0.3).argmax_abs(), 1);
         assert_eq!(Vec3::new(0.5, 0.2, -0.6).argmax_abs(), 2);
         assert_eq!(Vec3::new(1.0, 0.0, 0.0).argmax_abs(), 0);
+    }
+
+    /// Agreement with `f64::floor` and `f64::round` (whose integral
+    /// results convert to `i64` exactly on the domain).
+    fn assert_exact(x: f64) {
+        assert_eq!(floor_i64(x), x.floor() as i64, "floor_i64({x:e})");
+        assert_eq!(round_i64(x), x.round() as i64, "round_i64({x:e})");
+    }
+
+    #[test]
+    fn floor_and_round_match_std_on_edge_cases() {
+        let two52 = (1u64 << 52) as f64;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            -0.49999999999999994,
+            0.5000000000000001,
+            -0.3,
+            -0.5,
+            -1.0,
+            -1.5,
+            -2.7,
+            -1e-300,
+            1e-300,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            3.0,
+            -3.0,
+            255.0,
+            255.49999999999997,
+            two52,
+            -two52,
+            two52 - 0.5,
+            -(two52 - 0.5),
+            two52 + 1.0,
+            2.0 * two52 + 2.0,
+            -2.0 * two52 - 2.0,
+            9.223372036854775e18,
+            -9.223372036854775e18,
+        ];
+        for k in 0..=255 {
+            let tie = k as f64 + 0.5;
+            cases.extend([tie, -tie, tie.next_down(), tie.next_up(), k as f64]);
+        }
+        for x in cases {
+            assert_exact(x);
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn floor_and_round_match_std_on_the_domain(
+                bits in any::<u64>(),
+                small in -1024.0f64..1024.0,
+                tie in 0i64..=2048,
+                ulps in 0u64..3,
+            ) {
+                // Any bit pattern inside the domain (|x| < 2^63, finite),
+                // the renderer's coordinate range, and values a few ulps
+                // around the half-integers.
+                let x = f64::from_bits(bits);
+                if x.abs() < EXACT_LIMIT {
+                    assert_exact(x);
+                }
+                assert_exact(small);
+                let h = (tie - 1024) as f64 + 0.5;
+                assert_exact(f64::from_bits(h.to_bits() + ulps));
+                assert_exact(f64::from_bits(h.to_bits() - ulps));
+            }
+        }
     }
 }

@@ -14,6 +14,7 @@
 
 use crate::accel::SliceBounds;
 use crate::camera::{factorize, Camera, Factorization};
+use crate::math::{floor_i64, round_i64};
 use crate::partition::Subvolume;
 use crate::tf::TransferFunction;
 use rayon::prelude::*;
@@ -63,33 +64,6 @@ impl RenderOptions {
     }
 }
 
-/// Bilinear scalar sample of slice `k` (global principal-axis index) at
-/// global in-slice coordinates `(gi, gj)`, reading 0 outside the subvolume.
-#[inline]
-fn slice_sample(sub: &Subvolume, f: &Factorization, gi: f64, gj: f64, k: usize) -> f64 {
-    let off = [sub.offset.0, sub.offset.1, sub.offset.2];
-    let li = gi - off[f.plane.0] as f64;
-    let lj = gj - off[f.plane.1] as f64;
-    let lk = k as isize - off[f.axis] as isize;
-    let (i0, j0) = (li.floor(), lj.floor());
-    let (fi, fj) = (li - i0, lj - j0);
-    let (i0, j0) = (i0 as isize, j0 as isize);
-    let mut acc = 0.0;
-    for dj in 0..2 {
-        for di in 0..2 {
-            let w = (if di == 0 { 1.0 - fi } else { fi }) * (if dj == 0 { 1.0 - fj } else { fj });
-            if w > 0.0 {
-                let mut c = [0isize; 3];
-                c[f.plane.0] = i0 + di;
-                c[f.plane.1] = j0 + dj;
-                c[f.axis] = lk;
-                acc += w * sub.vol.at_or_zero(c[0], c[1], c[2]) as f64;
-            }
-        }
-    }
-    acc
-}
-
 /// Render a subvolume into the full-frame intermediate image.
 ///
 /// Returns the intermediate image and the factorization (needed for the
@@ -102,7 +76,7 @@ pub fn render_intermediate(
     camera: &Camera,
     opts: &RenderOptions,
 ) -> (Image<GrayAlpha>, Factorization) {
-    render_intermediate_impl(sub, tf, camera, opts, None)
+    render_intermediate_impl(sub, tf, camera, opts, None, composite_row)
 }
 
 /// Like [`render_intermediate`], but skipping fully transparent scanline
@@ -124,7 +98,7 @@ pub fn render_intermediate_accel(
         tf.transparent_is_interval(),
         "scanline-bounds acceleration requires an interval transparent set"
     );
-    render_intermediate_impl(sub, tf, camera, opts, Some(bounds))
+    render_intermediate_impl(sub, tf, camera, opts, Some(bounds), composite_row)
 }
 
 /// One slice of the principal-axis sweep, with its shear offsets and the
@@ -141,11 +115,133 @@ struct SliceJob {
     iv1: usize,
 }
 
+/// The depth-ordered slice jobs of `sub` under `f`; both drivers walk this
+/// list in order, so every pixel sees its slices front-to-back either way.
+fn slice_jobs(sub: &Subvolume, f: &Factorization) -> Vec<SliceJob> {
+    let (k_lo, k_hi) = sub.extent(f.axis);
+    let (i_lo, i_hi) = sub.extent(f.plane.0);
+    let (j_lo, j_hi) = sub.extent(f.plane.1);
+    let (w, h) = f.inter_size;
+    f.slice_order()
+        .filter(|&k| k >= k_lo && k < k_hi)
+        .map(|k| {
+            let kf = k as f64;
+            let u_off = f.origin.0 + f.shear.0 * kf;
+            let v_off = f.origin.1 + f.shear.1 * kf;
+            // Intermediate pixels whose pre-image lies inside this slice's
+            // in-slice extent.
+            SliceJob {
+                k,
+                u_off,
+                v_off,
+                iu0: (i_lo as f64 + u_off).floor().max(0.0) as usize,
+                iu1: ((i_hi as f64 + u_off).ceil() as usize).min(w.saturating_sub(1)),
+                iv0: (j_lo as f64 + v_off).floor().max(0.0) as usize,
+                iv1: ((j_hi as f64 + v_off).ceil() as usize).min(h.saturating_sub(1)),
+            }
+        })
+        .collect()
+}
+
+/// The bilinear taps of one intermediate-image row in one slice:
+/// everything about the row's samples that does not depend on the pixel,
+/// hoisted out of the pixel loop — the `j` weights and the buffer offsets
+/// of the two voxel rows the taps read.
+struct RowTaps<'a> {
+    voxels: &'a [u8],
+    /// Offsets of voxel rows `j0` and `j0 + 1` of the slice in `voxels`;
+    /// `None` outside the slab, whose taps read 0.
+    rows: [Option<usize>; 2],
+    /// Weights of rows `j0` and `j0 + 1`.
+    wj: [f64; 2],
+    /// Buffer stride and voxel count of the slab along the in-slice `i`
+    /// axis.
+    si: usize,
+    ni: isize,
+    /// The slab's offset along `i`.
+    off_i: f64,
+}
+
+impl<'a> RowTaps<'a> {
+    /// The taps of global in-slice row coordinate `gj` on slice `k`
+    /// (global principal-axis index, inside `sub`).
+    fn new(sub: &'a Subvolume, f: &Factorization, k: usize, gj: f64) -> Self {
+        let stride = sub.vol.strides();
+        let off = [sub.offset.0, sub.offset.1, sub.offset.2];
+        let lj = gj - off[f.plane.1] as f64;
+        let j0 = floor_i64(lj);
+        let fj = lj - j0 as f64;
+        let j0 = j0 as isize;
+        let lk = k - off[f.axis];
+        let row = |j: isize| {
+            (j >= 0 && (j as usize) < sub.vol.dim(f.plane.1))
+                .then(|| j as usize * stride[f.plane.1] + lk * stride[f.axis])
+        };
+        RowTaps {
+            voxels: sub.vol.voxels(),
+            rows: [row(j0), row(j0 + 1)],
+            wj: [1.0 - fj, fj],
+            si: stride[f.plane.0],
+            ni: sub.vol.dim(f.plane.0) as isize,
+            off_i: off[f.plane.0] as f64,
+        }
+    }
+
+    /// Bilinear scalar sample at global in-slice column coordinate `gi`.
+    /// The four taps are read directly when all are inside the slab, and
+    /// through the bounds-checked edge path otherwise.
+    #[inline(always)]
+    fn sample(&self, gi: f64) -> f64 {
+        let (voxels, si, ni, wj) = (self.voxels, self.si, self.ni, self.wj);
+        let li = gi - self.off_i;
+        let i0 = floor_i64(li);
+        let fi = li - i0 as f64;
+        let i0 = i0 as isize;
+        let wi = [1.0 - fi, fi];
+        match self.rows {
+            [Some(r0), Some(r1)] if i0 >= 0 && i0 < ni - 1 => {
+                let (a, b) = (r0 + i0 as usize * si, r1 + i0 as usize * si);
+                wi[0] * wj[0] * voxels[a] as f64
+                    + wi[1] * wj[0] * voxels[a + si] as f64
+                    + wi[0] * wj[1] * voxels[b] as f64
+                    + wi[1] * wj[1] * voxels[b + si] as f64
+            }
+            rows => {
+                let mut sum = 0.0;
+                for (row, wj) in rows.into_iter().zip(wj) {
+                    let Some(row) = row else { continue };
+                    for (di, wi) in wi.into_iter().enumerate() {
+                        let w = wi * wj;
+                        let i = i0 + di as isize;
+                        if w > 0.0 && i >= 0 && i < ni {
+                            sum += w * voxels[row + i as usize * si] as f64;
+                        }
+                    }
+                }
+                sum
+            }
+        }
+    }
+}
+
 /// Composite every pixel slice `job` contributes to row `iv` into that row
-/// of the intermediate image. This is the *only* place sample values are
-/// produced, shared verbatim by the serial and parallel drivers — identical
-/// float expressions per `(k, iv, iu)` is what makes the two orders
-/// bit-identical.
+/// of the intermediate image — the renderer's one row kernel. This is the
+/// *only* place sample values are produced, shared verbatim by the serial
+/// and parallel drivers: identical float expressions per `(k, iv, iu)` is
+/// what makes the two orders bit-identical.
+///
+/// The row's [`RowTaps`] are built once; each pixel then computes only its
+/// `i` coordinate and weights. Every sample is the bit pattern of the
+/// per-pixel bilinear sampler (the tests' `reference::slice_sample`):
+/// `(i-weight)·(j-weight)·voxel`, summed with `j` outer and `i` inner, on
+/// coordinates `l = g - offset` floored to `l0` with fraction `l - l0`. A
+/// skipped tap — zero weight or outside the slab — would only have added
+/// `+0.0` to a sum that is `≥ +0.0`, so skipping it is bit-neutral.
+/// [`floor_i64`] and [`round_i64`] are exact on the finite coordinates a
+/// validated camera produces (a coordinate is never `-0.0`, so the integer
+/// floor converts back to exactly `l.floor()`), and branch-free: whether a
+/// sample rounds up is data-dependent, and a mispredicted branch per pixel
+/// costs more than the arithmetic.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn composite_row(
@@ -165,25 +261,26 @@ fn composite_row(
     let (riu0, riu1) = match bounds {
         None => (job.iu0, job.iu1),
         Some(b) => {
-            let rb = b.row_bound(job.k, gj.floor() as isize);
+            let rb = b.row_bound(job.k, floor_i64(gj) as isize);
             if rb.is_empty() {
                 return;
             }
-            let lo = ((rb.lo as f64 + job.u_off).floor().max(job.iu0 as f64)) as usize;
-            let hi = (((rb.hi as f64 + job.u_off).ceil()) as usize).min(job.iu1);
+            let lo = floor_i64(rb.lo as f64 + job.u_off).max(job.iu0 as i64) as usize;
+            // ceil(x) = -floor(-x).
+            let hi = (-floor_i64(-(rb.hi as f64 + job.u_off))).clamp(0, job.iu1 as i64) as usize;
             if lo > hi {
                 return;
             }
             (lo, hi)
         }
     };
+    let taps = RowTaps::new(sub, f, job.k, gj);
     for (iu, acc) in row.iter_mut().enumerate().take(riu1 + 1).skip(riu0) {
         if acc.a >= opts.early_termination {
             continue;
         }
-        let gi = iu as f64 - job.u_off;
-        let scalar = slice_sample(sub, f, gi, gj, job.k);
-        let s8 = scalar.round().clamp(0.0, 255.0) as u8;
+        let scalar = taps.sample(iu as f64 - job.u_off);
+        let s8 = round_i64(scalar).clamp(0, 255) as u8;
         if tf.is_transparent(s8) {
             continue;
         }
@@ -193,45 +290,36 @@ fn composite_row(
     }
 }
 
-fn render_intermediate_impl(
+/// The serial and row-parallel drivers around a row kernel: always
+/// [`composite_row`], except in the tests, which also drive the per-pixel
+/// `reference::composite_row` as its oracle.
+fn render_intermediate_impl<K>(
     sub: &Subvolume,
     tf: &TransferFunction,
     camera: &Camera,
     opts: &RenderOptions,
     bounds: Option<&SliceBounds>,
-) -> (Image<GrayAlpha>, Factorization) {
+    kernel: K,
+) -> (Image<GrayAlpha>, Factorization)
+where
+    K: Fn(
+            &Subvolume,
+            &Factorization,
+            &TransferFunction,
+            &RenderOptions,
+            Option<&SliceBounds>,
+            &SliceJob,
+            usize,
+            &mut [GrayAlpha],
+        ) + Sync,
+{
     let f = factorize(camera, sub.full, opts.width, opts.height);
     let mut inter: Image<GrayAlpha> = Image::blank(f.inter_size.0, f.inter_size.1);
-    let (k_lo, k_hi) = sub.extent(f.axis);
-    let (i_lo, i_hi) = sub.extent(f.plane.0);
-    let (j_lo, j_hi) = sub.extent(f.plane.1);
     let w = inter.width();
     // Bounds of another slab or axis would skip real voxels; the full
     // scan is always exact.
     let bounds = bounds.filter(|b| b.matches(sub, &f));
-
-    // Precompute the depth-ordered slice jobs; both drivers walk this list
-    // in order, so every pixel sees its slices front-to-back either way.
-    let jobs: Vec<SliceJob> = f
-        .slice_order()
-        .filter(|&k| k >= k_lo && k < k_hi)
-        .map(|k| {
-            let kf = k as f64;
-            let u_off = f.origin.0 + f.shear.0 * kf;
-            let v_off = f.origin.1 + f.shear.1 * kf;
-            // Intermediate pixels whose pre-image lies inside this slice's
-            // in-slice extent.
-            SliceJob {
-                k,
-                u_off,
-                v_off,
-                iu0: (i_lo as f64 + u_off).floor().max(0.0) as usize,
-                iu1: ((i_hi as f64 + u_off).ceil() as usize).min(w.saturating_sub(1)),
-                iv0: (j_lo as f64 + v_off).floor().max(0.0) as usize,
-                iv1: ((j_hi as f64 + v_off).ceil() as usize).min(inter.height().saturating_sub(1)),
-            }
-        })
-        .collect();
+    let jobs = slice_jobs(sub, &f);
 
     if opts.parallel && w > 0 && inter.height() > 0 {
         // Row-parallel interchange: rows are independent accumulation
@@ -243,7 +331,7 @@ fn render_intermediate_impl(
             .for_each(|(iv, row)| {
                 for job in &jobs {
                     if iv >= job.iv0 && iv <= job.iv1 {
-                        composite_row(sub, &f, tf, opts, bounds, job, iv, row);
+                        kernel(sub, &f, tf, opts, bounds, job, iv, row);
                     }
                 }
             });
@@ -252,7 +340,7 @@ fn render_intermediate_impl(
         for job in &jobs {
             for iv in job.iv0..=job.iv1 {
                 let row = &mut pixels[iv * w..(iv + 1) * w];
-                composite_row(sub, &f, tf, opts, bounds, job, iv, row);
+                kernel(sub, &f, tf, opts, bounds, job, iv, row);
             }
         }
     }
@@ -605,7 +693,7 @@ mod accel_props {
     prop_compose! {
         /// A camera whose principal axis is `axis` (jittered around that
         /// axis, either traversal direction), paired with the axis.
-        fn view()(
+        pub(super) fn view()(
             axis in 0usize..3,
             u in -0.6f64..0.6,
             v in -0.6f64..0.6,
@@ -659,6 +747,185 @@ mod accel_props {
                     opts,
                     part.offset
                 );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! The per-pixel bilinear sampler and row loop as they were before the
+    //! row kernel hoisted them: `f64::floor`/`f64::round` and a
+    //! bounds-checked 3-D lookup per tap. Plain [`super::render_intermediate`]
+    //! shares the row kernel, so this is the kernel's oracle.
+    use super::*;
+
+    /// Bilinear scalar sample of slice `k` (global principal-axis index) at
+    /// global in-slice coordinates `(gi, gj)`, reading 0 outside the subvolume.
+    pub(super) fn slice_sample(
+        sub: &Subvolume,
+        f: &Factorization,
+        gi: f64,
+        gj: f64,
+        k: usize,
+    ) -> f64 {
+        let off = [sub.offset.0, sub.offset.1, sub.offset.2];
+        let li = gi - off[f.plane.0] as f64;
+        let lj = gj - off[f.plane.1] as f64;
+        let lk = k as isize - off[f.axis] as isize;
+        let (i0, j0) = (li.floor(), lj.floor());
+        let (fi, fj) = (li - i0, lj - j0);
+        let (i0, j0) = (i0 as isize, j0 as isize);
+        let mut acc = 0.0;
+        for dj in 0..2 {
+            for di in 0..2 {
+                let w =
+                    (if di == 0 { 1.0 - fi } else { fi }) * (if dj == 0 { 1.0 - fj } else { fj });
+                if w > 0.0 {
+                    let mut c = [0isize; 3];
+                    c[f.plane.0] = i0 + di;
+                    c[f.plane.1] = j0 + dj;
+                    c[f.axis] = lk;
+                    acc += w * sub.vol.at_or_zero(c[0], c[1], c[2]) as f64;
+                }
+            }
+        }
+        acc
+    }
+
+    /// The per-pixel row kernel [`super::composite_row`] replaced, kept as
+    /// its oracle: every pixel samples slice `job` from scratch.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn composite_row(
+        sub: &Subvolume,
+        f: &Factorization,
+        tf: &TransferFunction,
+        opts: &RenderOptions,
+        bounds: Option<&SliceBounds>,
+        job: &SliceJob,
+        iv: usize,
+        row: &mut [GrayAlpha],
+    ) {
+        let gj = iv as f64 - job.v_off;
+        // With bounds: narrow the pixel run to the opaque interval of
+        // the two voxel rows this image row samples (conservative,
+        // hence pixel-exact).
+        let (riu0, riu1) = match bounds {
+            None => (job.iu0, job.iu1),
+            Some(b) => {
+                let rb = b.row_bound(job.k, gj.floor() as isize);
+                if rb.is_empty() {
+                    return;
+                }
+                let lo = ((rb.lo as f64 + job.u_off).floor().max(job.iu0 as f64)) as usize;
+                let hi = (((rb.hi as f64 + job.u_off).ceil()) as usize).min(job.iu1);
+                if lo > hi {
+                    return;
+                }
+                (lo, hi)
+            }
+        };
+        for (iu, acc) in row.iter_mut().enumerate().take(riu1 + 1).skip(riu0) {
+            if acc.a >= opts.early_termination {
+                continue;
+            }
+            let gi = iu as f64 - job.u_off;
+            let scalar = slice_sample(sub, f, gi, gj, job.k);
+            let s8 = scalar.round().clamp(0.0, 255.0) as u8;
+            if tf.is_transparent(s8) {
+                continue;
+            }
+            let sample = tf.classify_premultiplied(s8);
+            // Front-to-back: the accumulated pixel is nearer.
+            *acc = acc.over(&sample);
+        }
+    }
+}
+
+#[cfg(test)]
+mod kernel_props {
+    //! Property: the row kernel renders every slab byte for byte like the
+    //! per-pixel reference kernel, on every dataset, machine size,
+    //! principal axis and traversal direction, termination threshold,
+    //! frame shape and driver, with and without scanline bounds. Rounding
+    //! a sample to its 8-bit class hides last-bit drift from the image,
+    //! so the property also holds every raw sample of every slice row to
+    //! the reference sampler's bits.
+    use super::*;
+    use crate::accel::SliceBounds;
+    use crate::datasets::Dataset;
+    use crate::partition::partition_1d;
+    use proptest::prelude::*;
+
+    fn bits(img: &Image<GrayAlpha>) -> Vec<(u32, u32)> {
+        img.pixels()
+            .iter()
+            .map(|p| (p.v.to_bits(), p.a.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn row_kernel_matches_per_pixel_reference(
+            dataset in 0usize..3,
+            size in 8usize..=20,
+            p in 1usize..=8,
+            view in super::accel_props::view(),
+            et in prop_oneof![Just(0.98f32), Just(1.0f32)],
+            width in 1usize..48,
+            height in 1usize..48,
+            parallel in any::<bool>(),
+            seed in 0u64..1000,
+        ) {
+            let dataset = Dataset::PAPER[dataset];
+            let (axis, camera) = view;
+            let vol = dataset.generate(size, seed);
+            let tf = dataset.transfer_function();
+            let serial = RenderOptions {
+                width,
+                height,
+                early_termination: et,
+                parallel: false,
+            };
+            let opts = serial.with_parallel(parallel);
+            let f = factorize(&camera, vol.dims(), width, height);
+            prop_assert_eq!(f.axis, axis, "{:?}", camera);
+            for part in partition_1d(&vol, p, f.axis).unwrap() {
+                for job in slice_jobs(&part, &f) {
+                    for iv in job.iv0..=job.iv1 {
+                        let gj = iv as f64 - job.v_off;
+                        let taps = RowTaps::new(&part, &f, job.k, gj);
+                        for iu in job.iu0..=job.iu1 {
+                            let gi = iu as f64 - job.u_off;
+                            let want = reference::slice_sample(&part, &f, gi, gj, job.k);
+                            prop_assert_eq!(
+                                taps.sample(gi).to_bits(),
+                                want.to_bits(),
+                                "{} {:?} slab {:?} k={} ({}, {})",
+                                dataset.name(),
+                                camera,
+                                part.offset,
+                                job.k,
+                                iu,
+                                iv
+                            );
+                        }
+                    }
+                }
+                let bounds = SliceBounds::build(&part, &tf, &f);
+                let (want, _) = render_intermediate_impl(
+                    &part, &tf, &camera, &serial, None, reference::composite_row,
+                );
+                let (plain, _) = render_intermediate(&part, &tf, &camera, &opts);
+                let (fast, _) = render_intermediate_accel(&part, &tf, &camera, &opts, &bounds);
+                let want = bits(&want);
+                let what = format!(
+                    "{} p={p} {camera:?} {opts:?} slab {:?}",
+                    dataset.name(),
+                    part.offset
+                );
+                prop_assert_eq!(&bits(&plain), &want, "plain {}", what);
+                prop_assert_eq!(&bits(&fast), &want, "bounded {}", what);
             }
         }
     }

@@ -66,6 +66,12 @@ impl Volume {
         }
     }
 
+    /// Buffer strides of the x, y and z axes in [`Volume::voxels`]:
+    /// `[1, nx, nx·ny]`.
+    pub fn strides(&self) -> [usize; 3] {
+        [1, self.nx, self.nx * self.ny]
+    }
+
     /// Total voxel count.
     pub fn len(&self) -> usize {
         self.data.len()

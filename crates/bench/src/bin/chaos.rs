@@ -34,10 +34,11 @@
 use rt_bench::harness::{price, print_table, secs, Args, ScreenScene};
 use rt_comm::FaultPlan;
 use rt_compress::CodecKind;
-use rt_core::exec::{run_composition_faulty, ComposeConfig, ComposeOutput};
+use rt_core::exec::{ComposeConfig, ComposeOutput};
 use rt_core::method::CompositionMethod;
 use rt_core::CoreError;
 use rt_core::{BinarySwap, DirectSend, ParallelPipelined, RotateTiling};
+use rt_core::{ComposePlan, RunOptions};
 use rt_imaging::pixel::GrayAlpha8;
 use rt_imaging::Image;
 
@@ -69,7 +70,15 @@ fn run(
     let config = ComposeConfig::default()
         .with_codec(codec)
         .resilient(!faults.is_none());
-    run_composition_faulty(&schedule, scene.partials.clone(), &config, faults)
+    rt_core::run(
+        &ComposePlan::Schedule(schedule),
+        scene.partials.clone(),
+        &config,
+        RunOptions {
+            faults,
+            ..RunOptions::default()
+        },
+    )
 }
 
 fn frame_of(results: &[Result<ComposeOutput<GrayAlpha8>, CoreError>]) -> Image<GrayAlpha8> {

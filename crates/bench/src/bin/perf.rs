@@ -1,12 +1,14 @@
 //! Wall-clock perf harness for the compositing fast path.
 //!
 //! Unlike the figure binaries (virtual-clock replay), this measures *real*
-//! elapsed time, comparing the pooled zero-copy execution path against the
-//! per-transfer allocation baseline over the bench method lineup (the
-//! Figure 6 methods plus tile-ownership, [`Method::bench_lineup`]) ×
+//! elapsed time of the composition executor over the bench method lineup
+//! (the Figure 6 methods plus tile-ownership, [`Method::bench_lineup`]) ×
 //! codec × machine size grid — on one or both communication backends:
 //!
-//! * `--transport inproc` (default): the threaded multicomputer.
+//! * `--transport inproc` (default): the threaded multicomputer. Every
+//!   exact cell's root frame must equal the sequential
+//!   [`reference_composite`] of its partials, checked on the first timed
+//!   repetition before any timing is trusted.
 //! * `--transport tcp`: one OS process per rank (`netrank` workers spawned
 //!   through the `rt-net` rendezvous), composing over loopback TCP. Every
 //!   TCP cell is **reconciled** against an in-process run of the same
@@ -16,7 +18,7 @@
 //!   gated on every run. The reconciled timelines of the last TCP cell are
 //!   exported as a Chrome trace (`--trace-out`).
 //!
-//! Emits `BENCH_compose.json` (schema `bench-compose/v2`; every row names
+//! Emits `BENCH_compose.json` (schema `bench-compose/v3`; every row names
 //! its transport) and prints an aligned table. `--smoke` shrinks the grid
 //! to a one-rep 128×128 P=8 pass for CI.
 
@@ -26,9 +28,11 @@ use rt_bench::netgrid::{
 };
 use rt_comm::{replay_timeline, CostModel, Trace};
 use rt_compress::CodecKind;
-use rt_core::exec::{ComposeConfig, ExecPath, ScratchPool};
+use rt_core::exec::{ComposeConfig, ScratchPool};
 use rt_core::method::{CompositionMethod, Method};
-use rt_core::tile::{run_plan_composition, run_plan_composition_pooled, ComposePlan};
+use rt_core::tile::ComposePlan;
+use rt_core::{run, RunOptions};
+use rt_imaging::image::reference_composite;
 use rt_imaging::pixel::GrayAlpha8;
 use rt_net::{process::read_blob, Launcher};
 use rt_obs::{validate_chrome_trace, ChromeTrace};
@@ -167,10 +171,9 @@ struct Row {
     p: usize,
     /// Which backend carried the messages: `inproc` or `tcp`.
     transport: String,
+    /// Wall-clock quantiles of one compose (the name is kept from v2,
+    /// where a per-transfer baseline path was timed beside it).
     pooled: Quantiles,
-    per_transfer: Quantiles,
-    /// per-transfer p50 / pooled p50 — >1 means the pooled path is faster.
-    speedup_p50: f64,
     bytes: u64,
     messages: u64,
 }
@@ -182,32 +185,21 @@ struct Report {
     pixel: String,
     reps: usize,
     warmup: usize,
-    /// per-transfer p50 / pooled p50 on the in-process raw-codec P=32
-    /// cell (the allocation-heaviest cell), when that cell is in the grid.
-    speedup_raw_p32: Option<f64>,
     results: Vec<Row>,
 }
 
 /// Everything one cell measurement produces, on either backend.
 struct CellOutcome {
-    pooled_ms: Vec<f64>,
-    baseline_ms: Vec<f64>,
+    wall_ms: Vec<f64>,
     trace: Trace,
     frame_hash: Option<u64>,
 }
 
-fn root_frame_hash(
-    results: &[Result<rt_core::exec::ComposeOutput<GrayAlpha8>, rt_core::CoreError>],
-) -> Option<u64> {
-    results
-        .iter()
-        .find_map(|r| r.as_ref().unwrap().frame.as_ref())
-        .map(frame_hash)
-}
-
-/// One in-process cell: both paths timed per rep, trace + frame hash from
-/// the first timed pooled rep.
+/// One in-process cell: every rep timed, trace + frame hash from the first
+/// timed rep, whose root frame must match the sequential reference when
+/// the method is exact.
 fn run_inproc_cell(
+    method: &Method,
     plan: &ComposePlan,
     partials: &[rt_imaging::Image<GrayAlpha8>],
     codec: CodecKind,
@@ -215,42 +207,42 @@ fn run_inproc_cell(
     reps: usize,
     warmup: usize,
 ) -> CellOutcome {
-    let pooled_cfg = ComposeConfig::default()
-        .with_codec(codec)
-        .with_path(ExecPath::Pooled);
-    let baseline_cfg = pooled_cfg.with_path(ExecPath::PerTransfer);
+    let config = ComposeConfig::default().with_codec(codec);
     let mut outcome = CellOutcome {
-        pooled_ms: Vec::with_capacity(reps),
-        baseline_ms: Vec::with_capacity(reps),
+        wall_ms: Vec::with_capacity(reps),
         trace: Trace::default(),
         frame_hash: None,
     };
     for rep in 0..warmup + reps {
-        // Clones happen outside the timed region.
-        let a = partials.to_vec();
-        let b = partials.to_vec();
+        // The clone happens outside the timed region.
+        let local = partials.to_vec();
+        let options = RunOptions {
+            pool: Some(pool),
+            ..RunOptions::default()
+        };
         let t0 = Instant::now();
-        let (out_pooled, trace) = run_plan_composition_pooled(plan, a, &pooled_cfg, pool);
-        let dt_pooled = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let (out_base, _) = run_plan_composition(plan, b, &baseline_cfg);
-        let dt_base = t1.elapsed().as_secs_f64() * 1e3;
+        let (outputs, trace) = run(plan, local, &config, options);
+        let dt = t0.elapsed().as_secs_f64() * 1e3;
         if rep == warmup {
-            // Equivalence check once per cell, on the first timed rep:
-            // the two paths must agree bit-for-bit.
-            let pooled_hash = root_frame_hash(&out_pooled);
-            assert_eq!(
-                pooled_hash,
-                root_frame_hash(&out_base),
-                "{}/{codec:?}: paths diverged",
-                plan.method_name()
-            );
-            outcome.frame_hash = pooled_hash;
+            let frame = outputs
+                .iter()
+                .find_map(|r| r.as_ref().unwrap().frame.as_ref())
+                .expect("the root holds the gathered frame");
+            let lossy =
+                matches!(method, Method::Puzzle { budget_permille, .. } if *budget_permille > 0);
+            if !lossy {
+                let want = reference_composite(partials).expect("reference composite");
+                assert!(
+                    frame.pixels() == want.pixels(),
+                    "{}/{codec:?}: root frame differs from the sequential reference",
+                    plan.method_name()
+                );
+            }
+            outcome.frame_hash = Some(frame_hash(frame));
             outcome.trace = trace;
         }
         if rep >= warmup {
-            outcome.pooled_ms.push(dt_pooled);
-            outcome.baseline_ms.push(dt_base);
+            outcome.wall_ms.push(dt);
         }
     }
     outcome
@@ -298,27 +290,22 @@ fn run_tcp_cell(job: NetJob, p: usize) -> CellOutcome {
     }
     results.sort_by_key(|r| r.rank);
 
-    let reps = results[0].pooled_ms.len();
-    let slowest = |pick: fn(&WorkerResult) -> &Vec<f64>| -> Vec<f64> {
-        (0..reps)
-            .map(|i| {
-                results
-                    .iter()
-                    .map(|r| pick(r)[i])
-                    .fold(f64::NEG_INFINITY, f64::max)
-            })
-            .collect()
-    };
-    let pooled_ms = slowest(|r| &r.pooled_ms);
-    let baseline_ms = slowest(|r| &r.per_transfer_ms);
+    let reps = results[0].wall_ms.len();
+    let wall_ms = (0..reps)
+        .map(|i| {
+            results
+                .iter()
+                .map(|r| r.wall_ms[i])
+                .fold(f64::NEG_INFINITY, f64::max)
+        })
+        .collect();
     let frame_hash = results.iter().find_map(|r| r.frame_hash);
     let mut trace = Trace::default();
     for r in results {
         trace.ranks.push(r.trace);
     }
     CellOutcome {
-        pooled_ms,
-        baseline_ms,
+        wall_ms,
         trace,
         frame_hash,
     }
@@ -372,7 +359,15 @@ fn main() {
                 let needs_inproc = args.transports.contains(&TransportArg::InProc)
                     || args.transports.contains(&TransportArg::Tcp);
                 let inproc = needs_inproc.then(|| {
-                    run_inproc_cell(&plan, &partials, codec, &pool, args.reps, args.warmup)
+                    run_inproc_cell(
+                        &method,
+                        &plan,
+                        &partials,
+                        codec,
+                        &pool,
+                        args.reps,
+                        args.warmup,
+                    )
                 });
                 for &transport in &args.transports {
                     let cell = match transport {
@@ -422,19 +417,12 @@ fn main() {
         );
     }
 
-    let speedup_raw_p32 = rows
-        .iter()
-        .find(|r| {
-            r.codec == "raw" && r.p == 32 && r.method == "2N_RT(B=4)" && r.transport == "inproc"
-        })
-        .map(|r| r.speedup_p50);
     let report = Report {
-        schema: "bench-compose/v2".into(),
+        schema: "bench-compose/v3".into(),
         frame: args.frame,
         pixel: "GrayAlpha8".into(),
         reps: args.reps,
         warmup: args.warmup,
-        speedup_raw_p32,
         results: rows,
     };
 
@@ -449,30 +437,14 @@ fn main() {
                 r.transport.clone(),
                 format!("{:.2}", r.pooled.p50_ms),
                 format!("{:.2}", r.pooled.p95_ms),
-                format!("{:.2}", r.per_transfer.p50_ms),
-                format!("{:.2}", r.per_transfer.p95_ms),
-                format!("{:.2}x", r.speedup_p50),
             ]
         })
         .collect();
     print_table(
         &format!("wall-clock compose, {0}x{0}", report.frame),
-        &[
-            "method",
-            "codec",
-            "p",
-            "transport",
-            "pooled p50",
-            "pooled p95",
-            "base p50",
-            "base p95",
-            "speedup",
-        ],
+        &["method", "codec", "p", "transport", "p50 ms", "p95 ms"],
         &table,
     );
-    if let Some(s) = speedup_raw_p32 {
-        println!("speedup_raw_p32 = {s:.2}x (pooled vs per-transfer, 2N_RT(B=4))");
-    }
 
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&args.out, &json).expect("write BENCH_compose.json");
@@ -480,7 +452,7 @@ fn main() {
     // both present and valid JSON.
     let back = std::fs::read_to_string(&args.out).expect("re-read artifact");
     let parsed: Report = serde_json::from_str(&back).expect("artifact parses");
-    assert_eq!(parsed.schema, "bench-compose/v2");
+    assert_eq!(parsed.schema, "bench-compose/v3");
     let n = parsed.results.len();
     assert!(n > 0, "artifact has no result rows");
     println!("BENCH_compose.json OK ({n} rows -> {})", args.out);
@@ -493,16 +465,12 @@ fn build_row(
     transport: TransportArg,
     cell: &CellOutcome,
 ) -> Row {
-    let pooled = quantiles(cell.pooled_ms.clone());
-    let per_transfer = quantiles(cell.baseline_ms.clone());
     Row {
         method: method.name(),
         codec: codec_label(codec).into(),
         p,
         transport: transport_label(transport).into(),
-        pooled,
-        per_transfer,
-        speedup_p50: per_transfer.p50_ms / pooled.p50_ms,
+        pooled: quantiles(cell.wall_ms.clone()),
         bytes: cell.trace.bytes_sent(),
         messages: cell.trace.message_count(),
     }

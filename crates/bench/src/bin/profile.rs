@@ -3,7 +3,7 @@
 //!
 //! For every `(method, codec, P)` cell this binary:
 //!
-//! 1. runs the pooled executor with an [`rt_obs::Observer`] attached, so
+//! 1. runs the executor with an [`rt_obs::Observer`] attached, so
 //!    every rank records wall-clock phase spans and counters;
 //! 2. replays the event trace on the virtual clock with
 //!    [`rt_comm::replay_timeline`], yielding per-rank virtual-clock spans;
@@ -26,10 +26,11 @@
 
 use rt_comm::{replay_timeline, CostModel};
 use rt_compress::CodecKind;
-use rt_core::exec::{run_composition_observed, ComposeConfig, ExecPath, ScratchPool};
+use rt_core::exec::{ComposeConfig, ScratchPool};
 use rt_core::method::{CompositionMethod, Method};
 use rt_core::schedule::verify_schedule;
 use rt_core::CoreError;
+use rt_core::{run, ComposePlan, RunOptions};
 use rt_imaging::pixel::{GrayAlpha8, Pixel};
 use rt_imaging::Image;
 use rt_obs::{
@@ -184,10 +185,9 @@ fn main() {
                 Err(e) => panic!("{}: {e}", method.name()),
             };
             verify_schedule(&schedule).unwrap_or_else(|e| panic!("{}: {e}", method.name()));
+            let plan = ComposePlan::Schedule(schedule);
             for &codec in &args.codecs {
-                let cfg = ComposeConfig::default()
-                    .with_codec(codec)
-                    .with_path(ExecPath::Pooled);
+                let cfg = ComposeConfig::default().with_codec(codec);
                 let label = format!("{}/{}/p={p}", method.name(), codec_label(codec));
 
                 // Observed runs. The observer accumulates wall spans and
@@ -197,12 +197,15 @@ fn main() {
                 let pool = ScratchPool::<GrayAlpha8>::new();
                 let mut last_trace = None;
                 for _ in 0..args.reps {
-                    let (outs, trace) = run_composition_observed(
-                        &schedule,
+                    let (outs, trace) = run(
+                        &plan,
                         partials.clone(),
                         &cfg,
-                        &pool,
-                        Arc::clone(&observer),
+                        RunOptions {
+                            pool: Some(&pool),
+                            observer: Some(Arc::clone(&observer)),
+                            ..RunOptions::default()
+                        },
                     );
                     for (rank, out) in outs.iter().enumerate() {
                         if let Err(e) = out {

@@ -1,59 +1,42 @@
-//! The schedule executor: runs any [`Schedule`] over the multicomputer.
+//! The schedule executor, the transfer helpers and final gather every
+//! executor shares, and the [`run`] harness.
 //!
-//! Every method uses this single code path, so cross-method comparisons
-//! measure schedules, not implementation accidents. Per step, a rank:
+//! A [`Schedule`] runs step by step. Per step, a rank:
 //!
-//! 1. extracts and encodes each span it sends (charging the codec's bytes
-//!    to the `Encode` compute account);
-//! 2. receives, decodes and merges each incoming span, charging `To` per
-//!    composited pixel (`Over`);
+//! 1. ships each span it sends, encoding straight off the frame's span
+//!    slice (charging the codec's bytes to the `Encode` compute account);
+//! 2. receives each incoming span and streams it through the codec's fused
+//!    [`rt_compress::Codec::decode_over`] kernel directly into the
+//!    destination slice, charging `To` per composited pixel (`Over`);
 //! 3. after the last step, flushes deferred back accumulators;
 //! 4. finally, the owners ship their fully-composited spans to the gather
-//!    root, which assembles the output frame.
+//!    root (or to the display-wall cells), which assembles the output.
+//!
+//! The tile, puzzle and hierarchical executors ship and merge pixels
+//! through the same two transfer helpers and end in the same gather, so
+//! compute charges and observability counters cannot drift apart between
+//! methods. Deferred-back accumulators and gather staging reuse buffers
+//! from a per-rank [`Scratch`], so the steady state of an animation
+//! allocates nothing per transfer.
 //!
 //! Phase marks (`compose:start`, `step:K`, `flush:start`, `compose:end`,
 //! `gather:end`) delimit the stages for the virtual-clock replay and let
 //! [`rt_comm::replay_timeline`] attribute every charge to a step and phase.
-//!
-//! ### Execution paths
-//!
-//! The executor has two wall-clock paths that are **trace-identical** (same
-//! events, same virtual-clock charges, same composited frames):
-//!
-//! * [`ExecPath::Pooled`] (default) — sends encode straight from the frame's
-//!   span slice and receives stream through the codecs' fused
-//!   [`rt_compress::Codec::decode_over`] kernels directly into the
-//!   destination slice; deferred-back accumulators and gather staging reuse
-//!   buffers from a per-rank [`Scratch`], so the steady state of an
-//!   animation allocates nothing per transfer.
-//! * [`ExecPath::PerTransfer`] — the original extract → encode / decode →
-//!   merge path materializing a `Vec<P>` per transfer; kept as the
-//!   reference implementation and perf baseline.
 
 use crate::display::{span_cell_segments, DisplayWall};
 use crate::repair::{repair, DegradedInfo};
 use crate::schedule::{MergeDir, Schedule};
+use crate::tile::{compose_plan, ComposePlan};
 use crate::CoreError;
 use rt_comm::{CommError, ComputeKind, FaultPlan, Multicomputer, RankCtx, Trace};
-use rt_compress::{CodecKind, KernelPath, OverDir};
+use rt_compress::{Codec, CodecKind, KernelPath, OverDir, OverStats};
 use rt_imaging::pixel::Pixel;
 use rt_imaging::{Image, Span};
 use rt_net::TcpMulticomputer;
 use rt_obs::{Observer, Phase};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Which wall-clock implementation the executor runs (the virtual-clock
-/// trace is identical either way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecPath {
-    /// Fused zero-copy kernels plus scratch-buffer reuse (default).
-    #[default]
-    Pooled,
-    /// One decoded `Vec<P>` per transfer — the reference path.
-    PerTransfer,
-}
 
 /// Which communication backend carries the composition's messages.
 ///
@@ -74,7 +57,7 @@ pub enum TransportKind {
     TcpLoopback,
 }
 
-/// Execution options for [`compose`].
+/// Execution options for [`crate::tile::compose_plan`] and [`run`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComposeConfig {
     /// Message codec applied to every transfer (and the gather).
@@ -91,20 +74,18 @@ pub struct ComposeConfig {
     /// [`ComposeOutput::degraded`].
     pub resilient: bool,
     /// Receive-deadline override for the harnesses that build their own
-    /// [`Multicomputer`] ([`run_composition`] and `rt-pvr`'s pipeline).
-    /// `None` keeps the comm layer's default.
+    /// [`Multicomputer`] ([`run`] and `rt-pvr`'s pipeline). `None` keeps
+    /// the comm layer's default.
     pub timeout: Option<Duration>,
-    /// Which wall-clock execution path to run.
-    pub path: ExecPath,
-    /// Which pixel/codec kernel implementation the pooled path drives
-    /// (word-wise wide kernels by default; the scalar reference loops for
-    /// A/B runs). Frames, traces and virtual-clock charges are identical
-    /// on either setting — only wall-clock time and the observability
-    /// kernel counters change.
+    /// Which pixel/codec kernel implementation runs (word-wise wide
+    /// kernels by default; the scalar reference loops for A/B runs).
+    /// Frames, traces and virtual-clock charges are identical on either
+    /// setting — only wall-clock time and the observability kernel
+    /// counters change.
     pub kernel: KernelPath,
     /// Which communication backend the execution harnesses build
-    /// ([`run_composition`] and friends, `rt-pvr`'s pipeline). Frames and
-    /// traces are identical on either setting.
+    /// ([`run`], `rt-pvr`'s pipeline). Frames and traces are identical on
+    /// either setting.
     pub transport: TransportKind,
     /// Frame-namespace bits OR'd into every message tag of this compose
     /// (see [`rt_comm::frame_tag_base`]). `0` (the default, and frame 0 of
@@ -128,7 +109,6 @@ impl Default for ComposeConfig {
             gather: true,
             resilient: false,
             timeout: None,
-            path: ExecPath::default(),
             kernel: KernelPath::default(),
             transport: TransportKind::default(),
             frame_tag: 0,
@@ -168,12 +148,6 @@ impl ComposeConfig {
         self
     }
 
-    /// Select the wall-clock execution path.
-    pub fn with_path(mut self, path: ExecPath) -> Self {
-        self.path = path;
-        self
-    }
-
     /// Select the compositing/codec kernel implementation.
     pub fn with_kernel(mut self, kernel: KernelPath) -> Self {
         self.kernel = kernel;
@@ -203,8 +177,8 @@ impl ComposeConfig {
 }
 
 /// A backend-selected machine: one constructor call instead of a
-/// `match` at every harness, so [`run_composition`] and `rt-pvr`'s
-/// pipeline swap transports by flipping [`ComposeConfig::transport`].
+/// `match` at every harness, so [`run`] and `rt-pvr`'s pipeline swap
+/// transports by flipping [`ComposeConfig::transport`].
 pub enum Machine {
     /// Threads joined by in-process channels ([`rt_comm::Multicomputer`]).
     InProc(Multicomputer),
@@ -282,17 +256,17 @@ impl Machine {
     }
 }
 
-/// Per-rank reusable buffers for the pooled execution path.
+/// Per-rank reusable buffers.
 ///
-/// Holding one `Scratch` across [`compose`] calls (one per frame of an
-/// animation) lets deferred-back accumulators and the gather staging buffer
-/// reach a steady state where no per-transfer allocation happens at all.
-/// A fresh `Scratch` is still correct — the first frame merely pays the
+/// Holding one `Scratch` across composes (one per frame of an animation)
+/// lets deferred-back accumulators and the send staging buffer reach a
+/// steady state where no per-transfer allocation happens at all. A fresh
+/// `Scratch` is still correct — the first frame merely pays the
 /// allocations once.
 #[derive(Debug)]
 pub struct Scratch<P: Pixel> {
-    /// Staging for the gather's concatenated owner spans.
-    pub(crate) gather_pixels: Vec<P>,
+    /// Staging for a message whose pixels span several frame spans.
+    staging: Vec<P>,
     /// Retired deferred-back accumulators awaiting reuse.
     spare_accs: Vec<Vec<P>>,
 }
@@ -307,7 +281,7 @@ impl<P: Pixel> Scratch<P> {
     /// An empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self {
-            gather_pixels: Vec::new(),
+            staging: Vec::new(),
             spare_accs: Vec::new(),
         }
     }
@@ -389,7 +363,7 @@ impl<P: Pixel> ScratchPool<P> {
     }
 }
 
-/// What one rank gets back from [`compose`].
+/// What one rank gets back from [`crate::tile::compose_plan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComposeOutput<P: Pixel> {
     /// The assembled frame (root only, and only if `gather` was requested).
@@ -414,6 +388,22 @@ pub struct ComposeOutput<P: Pixel> {
     pub degraded: Option<DegradedInfo>,
 }
 
+impl<P: Pixel> ComposeOutput<P> {
+    /// Fail-stop this rank at `step` of the fault plan: announce the death,
+    /// mark it, and report the self-crash.
+    pub(crate) fn crash(ctx: &mut RankCtx, step: usize) -> Self {
+        ctx.announce_death(step);
+        ctx.mark("compose:crashed");
+        ComposeOutput {
+            frame: None,
+            owned_pixels: 0,
+            owners: Vec::new(),
+            residual: None,
+            degraded: Some(DegradedInfo::self_crash(ctx.rank(), step)),
+        }
+    }
+}
+
 /// Tag for a transfer: frame-namespace bits on top, step index in the high
 /// bits, span start in the low.
 ///
@@ -421,7 +411,9 @@ pub struct ComposeOutput<P: Pixel> {
 /// the same span twice between the same pair, and disjoint spans have
 /// distinct starts. The step index must stay below 256 so it cannot bleed
 /// into the frame namespace at bit [`rt_comm::FRAME_TAG_SHIFT`]; every
-/// schedule in this repository is orders of magnitude below that.
+/// schedule in this repository is orders of magnitude below that. The
+/// tile protocol's channels live at steps `TILE_STEP_BASE + channel`, so
+/// `tag(f, TILE_STEP_BASE + ch, low) == rt_comm::tile_tag(f, ch, low)`.
 pub(crate) fn tag(frame_tag: u64, step: usize, span_start: usize) -> u64 {
     debug_assert!(
         (step as u64) < (1 << (rt_comm::FRAME_TAG_SHIFT - 40)),
@@ -444,32 +436,262 @@ fn repair_tag(frame_tag: u64, entry: usize, fetch: usize) -> u64 {
 /// Lowest-ranked survivor, for gather-root reassignment after failures.
 /// Every survivor computes the same answer from the agreed `crashed` set;
 /// if no rank survived there is nobody to assemble a frame at all.
-pub(crate) fn elect_root(
-    p: usize,
-    crashed: &std::collections::BTreeMap<usize, usize>,
-) -> Result<usize, CoreError> {
+pub(crate) fn elect_root(p: usize, crashed: &BTreeMap<usize, usize>) -> Result<usize, CoreError> {
     (0..p)
         .find(|r| !crashed.contains_key(r))
         .ok_or(CoreError::AllRanksFailed { p })
+}
+
+/// The codec and kernel of one compose, and the only way any executor
+/// moves pixels: [`Wire::send_spans`] ships them, [`Wire::merge`] folds
+/// them in on arrival. Keeping both in one place keeps the virtual-clock
+/// charges and the observability counters identical across methods.
+pub(crate) struct Wire<'c, P: Pixel> {
+    codec: Box<dyn Codec<P>>,
+    pub(crate) config: &'c ComposeConfig,
+    /// The word-wise kernels run: requested, and `P` has them.
+    wide: bool,
+    /// The word-wise kernels were requested but `P` has none, so the
+    /// scalar reference loops run instead (counted, so profiles show it).
+    fallback: bool,
+}
+
+impl<'c, P: Pixel> Wire<'c, P> {
+    pub(crate) fn new(config: &'c ComposeConfig) -> Self {
+        let requested = config.kernel == KernelPath::Wide;
+        Self {
+            codec: config.codec.build::<P>(),
+            config,
+            wide: requested && P::HAS_WIDE_KERNEL,
+            fallback: requested && !P::HAS_WIDE_KERNEL,
+        }
+    }
+
+    fn raw(&self) -> bool {
+        self.config.codec == CodecKind::Raw
+    }
+
+    /// Ship the pixels of `spans` (concatenated in order) to `dst` as one
+    /// message tagged `tag`: encode straight off the frame for a single
+    /// span, through the scratch staging buffer otherwise.
+    pub(crate) fn send_spans(
+        &self,
+        ctx: &mut RankCtx,
+        dst: usize,
+        tag: u64,
+        local: &Image<P>,
+        spans: impl IntoIterator<Item = Span>,
+        scratch: &mut Scratch<P>,
+    ) -> Result<(), CoreError> {
+        let started = ctx.obs_start();
+        let mut spans = spans.into_iter();
+        let (first, second) = (spans.next(), spans.next());
+        let pixels = match (first, second) {
+            (Some(only), None) => local.span_pixels(only)?,
+            _ => {
+                scratch.staging.clear();
+                for span in first.into_iter().chain(second).chain(spans) {
+                    scratch.staging.extend_from_slice(local.span_pixels(span)?);
+                }
+                &scratch.staging
+            }
+        };
+        let encoded = self.codec.encode_with(pixels, self.config.kernel);
+        ctx.obs_span(Phase::Encode, started);
+        if !self.raw() {
+            ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
+        }
+        let wire = encoded.bytes.len() as u64;
+        ctx.obs_counters(|c| {
+            c.add_wire_bytes(self.config.codec.name(), wire);
+            if self.wide {
+                c.wide_kernel_bytes += wire;
+            }
+        });
+        ctx.send(dst, tag, encoded.bytes)?;
+        Ok(())
+    }
+
+    /// Merge a received message into `dst` (`dst[i] = stream[i] over
+    /// dst[i]` for [`OverDir::Front`], the reverse for [`OverDir::Back`])
+    /// through the fused kernels, timing it as `phase`. Merging into a
+    /// blank destination is an exact copy, which is how gathers and
+    /// placements use it. The caller charges `Over` itself: what a merge
+    /// costs differs between a composite and a copy.
+    pub(crate) fn merge(
+        &self,
+        ctx: &mut RankCtx,
+        bytes: &[u8],
+        dst: &mut [P],
+        dir: OverDir,
+        phase: Phase,
+    ) -> Result<OverStats, CoreError> {
+        if !self.raw() {
+            // Decoding walks the *encoded* stream, so the compute charge
+            // is the wire size, not the decompressed size — a compressed
+            // message must cost less to decode, or the paper's claim that
+            // compression cuts composition time (Section 3) is mispriced.
+            ctx.compute(ComputeKind::Decode, bytes.len() as u64);
+        }
+        let started = ctx.obs_start();
+        let stats = self
+            .codec
+            .decode_over_with(bytes, dst, dir, self.config.kernel)?;
+        ctx.obs_span(phase, started);
+        let wire = bytes.len() as u64;
+        ctx.obs_counters(|c| {
+            c.non_blank_merged += stats.non_blank as u64;
+            c.blank_skipped += stats.blank_skipped as u64;
+            c.opaque_fast += stats.opaque_fast as u64;
+            let source_pixels = stats.source_pixels() as u64;
+            if self.wide {
+                c.wide_kernel_pixels += source_pixels;
+                c.wide_kernel_bytes += wire;
+            } else {
+                c.scalar_kernel_pixels += source_pixels;
+            }
+            if self.fallback {
+                c.kernel_fallbacks += 1;
+            }
+        });
+        Ok(stats)
+    }
+
+    /// Charge the `Over` account for compositing `len` pixels. Blank pixels
+    /// are the identity of `over`; the structured codecs (TRLE templates,
+    /// RLE runs, bounding intervals) identify blank regions during decode,
+    /// so — as the paper argues in Section 1 — compression reduces the
+    /// composition *computation* as well as the traffic, and only the
+    /// `non_blank` pixels are charged. Raw buffers carry no such structure
+    /// and are charged for the full span.
+    pub(crate) fn charge_over(
+        &self,
+        ctx: &mut RankCtx,
+        len: usize,
+        non_blank: impl FnOnce() -> usize,
+    ) {
+        let units = if self.raw() { len } else { non_blank() };
+        ctx.compute(ComputeKind::Over, units as u64);
+    }
+}
+
+/// Each owner's non-empty spans, in ownership-map order: the per-owner
+/// span lists [`gather`] ships.
+pub(crate) fn spans_by_owner(p: usize, owners: &[(Span, usize)]) -> Vec<Vec<Span>> {
+    let mut spans_of = vec![Vec::new(); p];
+    for &(span, owner) in owners {
+        if !span.is_empty() {
+            spans_of[owner].push(span);
+        }
+    }
+    spans_of
+}
+
+/// The final gather every executor ends in: each owner ships its spans
+/// `spans_of[owner]` to the root as ONE message (the coalesced collection
+/// a real system would do with `MPI_Gatherv`), tagged at step `step`. With
+/// `config.display` set, it ships instead, per display cell its spans
+/// overlap, one message with the overlap segments, and each display rank
+/// assembles its own cell-sized framebuffer. Returns the frame (or cell)
+/// on the assembling ranks, `None` elsewhere. Ranks owning nothing send
+/// nothing; `dead` ranks neither send nor receive.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gather<P: Pixel>(
+    ctx: &mut RankCtx,
+    wire: &Wire<'_, P>,
+    spans_of: &[Vec<Span>],
+    dead: &BTreeSet<usize>,
+    step: usize,
+    local: &Image<P>,
+    root: usize,
+    scratch: &mut Scratch<P>,
+) -> Result<Option<Image<P>>, CoreError> {
+    let me = ctx.rank();
+    let (width, height) = (local.width(), local.height());
+    let frame_tag = wire.config.frame_tag;
+    // `(cell index, assembling rank, cell)`: the root assembles one cell
+    // covering the whole frame.
+    let cells: Vec<(usize, usize, Option<rt_imaging::Rect>)> = match wire.config.display {
+        None => vec![(0, root, None)],
+        Some(wall) => (0..wall.count())
+            .map(|d| (d, wall.rank_of(d), Some(wall.cell_rect(d, width, height))))
+            .collect(),
+    };
+    // `owner`'s spans inside a cell as `(frame span, offset in the cell)`,
+    // in span order: sender and receiver compute the same list locally.
+    let segments = |owner: usize, cell: Option<rt_imaging::Rect>| -> Vec<(Span, usize)> {
+        match cell {
+            None => spans_of[owner].iter().map(|s| (*s, s.start)).collect(),
+            Some(cell) => spans_of[owner]
+                .iter()
+                .flat_map(|s| span_cell_segments(*s, width, cell))
+                .collect(),
+        }
+    };
+    for &(d, drank, cell) in &cells {
+        if drank == me || dead.contains(&drank) {
+            continue;
+        }
+        let segs = segments(me, cell);
+        if segs.is_empty() {
+            continue;
+        }
+        let tag = tag(frame_tag, step, (d << 20) | me);
+        wire.send_spans(
+            ctx,
+            drank,
+            tag,
+            local,
+            segs.iter().map(|(s, _)| *s),
+            scratch,
+        )?;
+    }
+    let Some(&(d, _, cell)) = cells.iter().find(|(_, r, _)| *r == me) else {
+        return Ok(None);
+    };
+    let mut out = match cell {
+        None => Image::blank(width, height),
+        Some(cell) => Image::blank(cell.width(), cell.height()),
+    };
+    for owner in 0..spans_of.len() {
+        if dead.contains(&owner) {
+            continue;
+        }
+        let segs = segments(owner, cell);
+        if segs.is_empty() {
+            continue;
+        }
+        if owner == me {
+            for (seg, at) in &segs {
+                out.insert(Span::new(*at, seg.len), local.span_pixels(*seg)?)?;
+            }
+            continue;
+        }
+        let bytes = ctx.recv(owner, tag(frame_tag, step, (d << 20) | owner))?;
+        if let [(seg, at)] = segs.as_slice() {
+            // One segment: stream straight into the blank frame.
+            let dst = out.span_pixels_mut(Span::new(*at, seg.len))?;
+            wire.merge(ctx, &bytes, dst, OverDir::Front, Phase::Decode)?;
+            continue;
+        }
+        let total = segs.iter().map(|(s, _)| s.len).sum();
+        let mut staged = scratch.take_acc(total, ctx);
+        wire.merge(ctx, &bytes, &mut staged, OverDir::Front, Phase::Decode)?;
+        let mut from = 0usize;
+        for (seg, at) in &segs {
+            out.insert(Span::new(*at, seg.len), &staged[from..from + seg.len])?;
+            from += seg.len;
+        }
+        scratch.put_acc(staged);
+    }
+    Ok(Some(out))
 }
 
 /// Execute `schedule` on this rank with `local` as the rank's rendered
 /// partial image. Depth order is rank order (rank 0 nearest the viewer);
 /// callers with a different depth order permute ranks beforehand (see
 /// `rt-pvr`).
-pub fn compose<P: Pixel>(
-    ctx: &mut RankCtx,
-    schedule: &Schedule,
-    local: Image<P>,
-    config: &ComposeConfig,
-) -> Result<ComposeOutput<P>, CoreError> {
-    let mut scratch = Scratch::new();
-    compose_with_scratch(ctx, schedule, local, config, &mut scratch)
-}
-
-/// [`compose`] with caller-held [`Scratch`] buffers, so repeated composes
-/// (one per animation frame) reuse allocations across calls.
-pub fn compose_with_scratch<P: Pixel>(
+pub(crate) fn compose_schedule<P: Pixel>(
     ctx: &mut RankCtx,
     schedule: &Schedule,
     mut local: Image<P>,
@@ -498,22 +720,7 @@ pub fn compose_with_scratch<P: Pixel>(
     if let Some(wall) = config.display {
         wall.validate(schedule.p)?;
     }
-    let codec = config.codec.build::<P>();
-    // Which kernel implementation actually runs: the wide path engages only
-    // for pixel types with a word-wise kernel; other types fall back to the
-    // scalar reference loops (counted, so profiles show the miss).
-    let wide_requested = config.kernel == KernelPath::Wide;
-    let wide_active = wide_requested && P::HAS_WIDE_KERNEL;
-    let count_kernel_pixels = move |c: &mut rt_obs::Counters, source_pixels: u64| {
-        if wide_active {
-            c.wide_kernel_pixels += source_pixels;
-        } else {
-            c.scalar_kernel_pixels += source_pixels;
-        }
-        if wide_requested && !wide_active {
-            c.kernel_fallbacks += 1;
-        }
-    };
+    let wire = Wire::new(config);
 
     // Fail-stop point for this rank, if the fault plan crashes it within
     // this schedule (a step index, or `steps.len()` for "after the last
@@ -532,44 +739,16 @@ pub fn compose_with_scratch<P: Pixel>(
 
     for (k, step) in schedule.steps.iter().enumerate() {
         if my_crash == Some(k) {
-            ctx.announce_death(k);
-            ctx.mark("compose:crashed");
-            return Ok(ComposeOutput {
-                frame: None,
-                owned_pixels: 0,
-                owners: Vec::new(),
-                residual: None,
-                degraded: Some(DegradedInfo::self_crash(me, k)),
-            });
+            return Ok(ComposeOutput::crash(ctx, k));
         }
         // Step boundary for phase attribution (wall and virtual spans
-        // alike); identical on both execution paths.
+        // alike).
         ctx.mark(format!("step:{k}"));
         // Ship all sends first (non-blocking), then consume receives: the
         // pairwise exchanges of every method progress without deadlock.
         for t in step.sends_of(me) {
-            let enc_started = ctx.obs_start();
-            let encoded = match config.path {
-                // Encode straight off the frame's span slice, through the
-                // configured scan kernel (byte-identical wire either way).
-                ExecPath::Pooled => codec.encode_with(local.span_pixels(t.span)?, config.kernel),
-                ExecPath::PerTransfer => {
-                    let pixels = local.extract(t.span)?;
-                    codec.encode(&pixels)
-                }
-            };
-            ctx.obs_span(Phase::Encode, enc_started);
-            if config.codec != CodecKind::Raw {
-                ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-            }
-            let wire = encoded.bytes.len() as u64;
-            ctx.obs_counters(|c| {
-                c.add_wire_bytes(config.codec.name(), wire);
-                if wide_active && config.path == ExecPath::Pooled {
-                    c.wide_kernel_bytes += wire;
-                }
-            });
-            ctx.send(t.dst, tag(config.frame_tag, k, t.span.start), encoded.bytes)?;
+            let tag = tag(config.frame_tag, k, t.span.start);
+            wire.send_spans(ctx, t.dst, tag, &local, [t.span], scratch)?;
         }
         for t in step.recvs_of(me) {
             let bytes = match ctx.recv(t.src, tag(config.frame_tag, k, t.span.start)) {
@@ -580,162 +759,50 @@ pub fn compose_with_scratch<P: Pixel>(
                 Err(CommError::RankFailed { .. }) if config.resilient => continue,
                 Err(e) => return Err(e.into()),
             };
-            if config.codec != CodecKind::Raw {
-                // Decoding walks the *encoded* stream, so the compute
-                // charge is the wire size, not the decompressed size — a
-                // compressed message must cost less to decode, or the
-                // paper's claim that compression cuts composition time
-                // (Section 3) is mispriced.
-                ctx.compute(ComputeKind::Decode, bytes.len() as u64);
-            }
-            // Blank pixels are the identity of `over`; the structured
-            // codecs (TRLE templates, RLE runs, bounding intervals)
-            // identify blank regions during decode, so — as the paper
-            // argues in Section 1 — compression reduces the composition
-            // *computation* as well as the traffic. Raw buffers carry no
-            // such structure and are charged for the full span.
-            let raw = config.codec == CodecKind::Raw;
-            match config.path {
-                // Stream the encoded bytes through the fused kernels
-                // directly into the destination slice — no decoded Vec.
-                ExecPath::Pooled => match t.dir {
-                    MergeDir::Front | MergeDir::Back => {
-                        let dir = if t.dir == MergeDir::Front {
-                            OverDir::Front
-                        } else {
-                            OverDir::Back
-                        };
-                        let over_started = ctx.obs_start();
-                        let dst = local.span_pixels_mut(t.span)?;
-                        let stats = codec.decode_over_with(&bytes, dst, dir, config.kernel)?;
-                        ctx.obs_span(Phase::Over, over_started);
-                        let wire = bytes.len() as u64;
-                        ctx.obs_counters(|c| {
-                            c.non_blank_merged += stats.non_blank as u64;
-                            c.blank_skipped += stats.blank_skipped as u64;
-                            c.opaque_fast += stats.opaque_fast as u64;
-                            count_kernel_pixels(c, stats.source_pixels() as u64);
-                            if wide_active {
-                                c.wide_kernel_bytes += wire;
-                            }
+            let (dst, dir) = match t.dir {
+                MergeDir::Front => (local.span_pixels_mut(t.span)?, OverDir::Front),
+                MergeDir::Back => (local.span_pixels_mut(t.span)?, OverDir::Back),
+                MergeDir::BackDefer => {
+                    // Blank is the identity of `over`, so streaming the
+                    // first arrival in front of a blank accumulator
+                    // reproduces it exactly.
+                    let (acc_span, acc) = back_acc
+                        .entry(t.span.start)
+                        .or_insert_with(|| (t.span, scratch.take_acc(t.span.len, ctx)));
+                    if *acc_span != t.span {
+                        return Err(CoreError::InvalidSchedule {
+                            why: format!("deferred-back span mismatch: {acc_span} vs {}", t.span),
                         });
-                        let over_units = if raw { t.span.len } else { stats.non_blank };
-                        ctx.compute(ComputeKind::Over, over_units as u64);
                     }
-                    MergeDir::BackDefer => {
-                        let (acc_span, acc) = match back_acc.entry(t.span.start) {
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                // Blank is the identity of `over`, so
-                                // streaming the first arrival in front of a
-                                // blank accumulator reproduces it exactly.
-                                &mut *e.insert((t.span, scratch.take_acc(t.span.len, ctx)))
-                            }
-                            std::collections::hash_map::Entry::Occupied(e) => &mut *e.into_mut(),
-                        };
-                        if *acc_span != t.span {
-                            return Err(CoreError::InvalidSchedule {
-                                why: format!(
-                                    "deferred-back span mismatch: {acc_span} vs {}",
-                                    t.span
-                                ),
-                            });
-                        }
-                        // Arriving pieces are deepest-first: the new piece
-                        // goes in front of the accumulated deeper ones.
-                        let over_started = ctx.obs_start();
-                        let stats =
-                            codec.decode_over_with(&bytes, acc, OverDir::Front, config.kernel)?;
-                        ctx.obs_span(Phase::Over, over_started);
-                        let wire = bytes.len() as u64;
-                        ctx.obs_counters(|c| {
-                            c.non_blank_merged += stats.non_blank as u64;
-                            c.blank_skipped += stats.blank_skipped as u64;
-                            c.opaque_fast += stats.opaque_fast as u64;
-                            count_kernel_pixels(c, stats.source_pixels() as u64);
-                            if wide_active {
-                                c.wide_kernel_bytes += wire;
-                            }
-                        });
-                        let over_units = if raw { t.span.len } else { stats.non_blank };
-                        ctx.compute(ComputeKind::Over, over_units as u64);
-                    }
-                },
-                ExecPath::PerTransfer => {
-                    let dec_started = ctx.obs_start();
-                    let pixels: Vec<P> = codec.decode(&bytes, t.span.len)?;
-                    ctx.obs_span(Phase::Decode, dec_started);
-                    let over_units = if raw {
-                        t.span.len
-                    } else {
-                        pixels.iter().filter(|p| !p.is_blank()).count()
-                    };
-                    ctx.compute(ComputeKind::Over, over_units as u64);
-                    let over_started = ctx.obs_start();
-                    match t.dir {
-                        MergeDir::Front => local.over_front(t.span, &pixels)?,
-                        MergeDir::Back => local.over_back(t.span, &pixels)?,
-                        MergeDir::BackDefer => match back_acc.entry(t.span.start) {
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert((t.span, pixels));
-                            }
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                let (acc_span, acc) = e.get_mut();
-                                if *acc_span != t.span {
-                                    return Err(CoreError::InvalidSchedule {
-                                        why: format!(
-                                            "deferred-back span mismatch: {acc_span} vs {}",
-                                            t.span
-                                        ),
-                                    });
-                                }
-                                // Arriving pieces are deepest-first: the new
-                                // piece goes in front of the accumulated
-                                // deeper ones.
-                                for (dst, f) in acc.iter_mut().zip(&pixels) {
-                                    *dst = f.over(dst);
-                                }
-                            }
-                        },
-                    }
-                    ctx.obs_span(Phase::Over, over_started);
+                    // Arriving pieces are deepest-first: the new piece
+                    // goes in front of the accumulated deeper ones.
+                    (acc.as_mut_slice(), OverDir::Front)
                 }
-            }
+            };
+            let stats = wire.merge(ctx, &bytes, dst, dir, Phase::Over)?;
+            wire.charge_over(ctx, t.span.len, || stats.non_blank);
         }
     }
 
-    // Flush deferred accumulators: local over deferred-back. The mark is
-    // emitted on both execution paths so replay can attribute the trailing
-    // `over` computes to the flush phase.
+    // Flush deferred accumulators: local over deferred-back. The mark lets
+    // replay attribute the trailing `over` computes to the flush phase.
     ctx.mark("flush:start");
     let mut flushes: Vec<(Span, Vec<P>)> = back_acc.into_values().collect();
     flushes.sort_by_key(|(span, _)| span.start);
     for (span, acc) in flushes {
-        // Mirror the per-step charging rule: under a structured codec only
-        // the non-blank accumulated pixels cost an `over`; charging the
-        // full span here would price the flush as if the codec had found
-        // no blank structure at all.
-        let over_units = if config.codec == CodecKind::Raw {
-            span.len
-        } else {
+        // The per-step charging rule: under a structured codec only the
+        // non-blank accumulated pixels cost an `over`.
+        wire.charge_over(ctx, span.len, || {
             acc.iter().filter(|p| !p.is_blank()).count()
-        };
+        });
         let flush_started = ctx.obs_start();
-        ctx.compute(ComputeKind::Over, over_units as u64);
         local.over_back(span, &acc)?;
         ctx.obs_span(Phase::Flush, flush_started);
         scratch.put_acc(acc);
     }
 
     if my_crash == Some(steps_len) {
-        ctx.announce_death(steps_len);
-        ctx.mark("compose:crashed");
-        return Ok(ComposeOutput {
-            frame: None,
-            owned_pixels: 0,
-            owners: Vec::new(),
-            residual: None,
-            degraded: Some(DegradedInfo::self_crash(me, steps_len)),
-        });
+        return Ok(ComposeOutput::crash(ctx, steps_len));
     }
 
     ctx.mark("compose:end");
@@ -764,72 +831,57 @@ pub fn compose_with_scratch<P: Pixel>(
         if !crashed.is_empty() {
             let plan = repair(schedule, &crashed)?;
 
-            // Phase 1: extract every piece this rank holds for the plan
-            // *before* any insert can overwrite it, and ship the
-            // remote-bound ones (all sends precede all receives: no
-            // deadlock on the buffered channels).
+            // Phase 1: ship every remote-bound piece this rank holds and
+            // copy out the ones it keeps, *before* any insert can
+            // overwrite them (all sends precede all receives: no deadlock
+            // on the buffered channels).
             let mut own_pieces: HashMap<(usize, usize), Vec<P>> = HashMap::new();
             for (ei, e) in plan.entries.iter().enumerate() {
                 for (fi, fetch) in e.fetches.iter().enumerate() {
                     if fetch.holder != me {
                         continue;
                     }
-                    let pixels = local.extract(e.span)?;
                     if e.owner == me {
-                        own_pieces.insert((ei, fi), pixels);
+                        own_pieces.insert((ei, fi), local.extract(e.span)?);
                     } else {
-                        let encoded = codec.encode_with(&pixels, config.kernel);
-                        if config.codec != CodecKind::Raw {
-                            ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-                        }
-                        let wire = encoded.bytes.len() as u64;
-                        ctx.obs_counters(|c| c.add_wire_bytes(config.codec.name(), wire));
-                        ctx.send(e.owner, repair_tag(config.frame_tag, ei, fi), encoded.bytes)?;
+                        let tag = repair_tag(config.frame_tag, ei, fi);
+                        wire.send_spans(ctx, e.owner, tag, &local, [e.span], scratch)?;
                     }
                 }
             }
-            // Phase 2: assemble the spans this rank now owns, merging the
-            // fetched pieces front-to-back.
+            // Phase 2: assemble the spans this rank now owns, folding the
+            // fetched pieces front-to-back behind a blank accumulator
+            // (blank is the identity of `over`, so the first piece lands
+            // exactly).
             for (ei, e) in plan.entries.iter().enumerate() {
                 if e.owner != me {
                     continue;
                 }
-                let mut acc: Option<Vec<P>> = None;
+                let mut acc = scratch.take_acc(e.span.len, ctx);
                 for (fi, fetch) in e.fetches.iter().enumerate() {
-                    let pixels: Vec<P> = if fetch.holder == me {
-                        match own_pieces.remove(&(ei, fi)) {
-                            Some(px) => px,
-                            None => {
-                                return Err(CoreError::InvalidSchedule {
-                                    why: format!(
-                                        "repair plan fetch ({ei},{fi}) was not extracted in phase 1"
-                                    ),
-                                })
-                            }
+                    if fetch.holder == me {
+                        let Some(piece) = own_pieces.remove(&(ei, fi)) else {
+                            return Err(CoreError::InvalidSchedule {
+                                why: format!(
+                                    "repair plan fetch ({ei},{fi}) was not extracted in phase 1"
+                                ),
+                            });
+                        };
+                        for (a, b) in acc.iter_mut().zip(&piece) {
+                            *a = a.over(b);
                         }
                     } else {
                         let bytes = ctx.recv(fetch.holder, repair_tag(config.frame_tag, ei, fi))?;
-                        if config.codec != CodecKind::Raw {
-                            // Charged on the encoded wire size (see the
-                            // step-receive path).
-                            ctx.compute(ComputeKind::Decode, bytes.len() as u64);
-                        }
-                        codec.decode(&bytes, e.span.len)?
-                    };
-                    acc = Some(match acc {
-                        None => pixels,
-                        Some(mut front) => {
-                            ctx.compute(ComputeKind::Over, e.span.len as u64);
-                            for (f, b) in front.iter_mut().zip(&pixels) {
-                                *f = f.over(b);
-                            }
-                            front
-                        }
-                    });
+                        wire.merge(ctx, &bytes, &mut acc, OverDir::Back, Phase::Over)?;
+                    }
+                    if fi > 0 {
+                        ctx.compute(ComputeKind::Over, e.span.len as u64);
+                    }
                 }
-                if let Some(acc) = acc {
+                if !e.fetches.is_empty() {
                     local.insert(e.span, &acc)?;
                 }
+                scratch.put_acc(acc);
             }
 
             owners = plan.final_owners.clone();
@@ -844,12 +896,11 @@ pub fn compose_with_scratch<P: Pixel>(
         ctx.mark("repair:end");
     }
 
-    let mut owned_pixels = 0usize;
-    for (span, owner) in &owners {
-        if *owner == me {
-            owned_pixels += span.len;
-        }
-    }
+    let owned_pixels = owners
+        .iter()
+        .filter(|(_, owner)| *owner == me)
+        .map(|(span, _)| span.len)
+        .sum();
 
     if !config.gather {
         return Ok(ComposeOutput {
@@ -861,51 +912,15 @@ pub fn compose_with_scratch<P: Pixel>(
         });
     }
 
-    // Gather: each owner ships ONE message carrying all its final spans
-    // concatenated in span order (the coalesced collection a real system
-    // would do with MPI_Gatherv), tagged past the last step.
-    let gather_step = schedule.steps.len();
-    // Spans per owner, in (possibly repaired) ownership order.
-    let mut spans_of = vec![Vec::<Span>::new(); schedule.p];
-    for (span, owner) in &owners {
-        if !span.is_empty() {
-            spans_of[*owner].push(*span);
-        }
-    }
-    if let Some(wall) = config.display {
-        let dead: std::collections::BTreeSet<usize> = degraded
-            .as_ref()
-            .map(|d| d.failed.iter().map(|(r, _)| *r).collect())
-            .unwrap_or_default();
-        let frame = gather_spans_to_wall(
-            ctx,
-            &spans_of,
-            &local,
-            config,
-            scratch,
-            codec.as_ref(),
-            wall,
-            gather_step,
-            &dead,
-        )?;
-        ctx.mark("gather:end");
-        return Ok(ComposeOutput {
-            frame,
-            owned_pixels,
-            owners,
-            residual: Some(local),
-            degraded,
-        });
-    }
-    let frame = gather_spans_to_root(
-        ctx,
-        &spans_of,
-        &local,
-        root,
-        config,
-        scratch,
-        codec.as_ref(),
-        gather_step,
+    // Gather, tagged past the last step. Dead ranks own nothing after the
+    // repair, and a dead display rank assembles nothing.
+    let dead: BTreeSet<usize> = degraded
+        .iter()
+        .flat_map(|d| d.failed.iter().map(|(r, _)| *r))
+        .collect();
+    let spans_of = spans_by_owner(schedule.p, &owners);
+    let frame = gather(
+        ctx, &wire, &spans_of, &dead, steps_len, &local, root, scratch,
     )?;
     ctx.mark("gather:end");
 
@@ -918,308 +933,82 @@ pub fn compose_with_scratch<P: Pixel>(
     })
 }
 
-/// Root-gather stage shared by the flat and hierarchical executors: each
-/// owner ships ONE message carrying all its final spans concatenated in
-/// span order (the coalesced collection a real system would do with
-/// `MPI_Gatherv`), tagged at `gather_step`; the root assembles the frame.
-/// Returns the frame at the root, `None` elsewhere. Ranks owning nothing
-/// send nothing.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gather_spans_to_root<P: Pixel>(
-    ctx: &mut RankCtx,
-    spans_of: &[Vec<Span>],
-    local: &Image<P>,
-    root: usize,
-    config: &ComposeConfig,
-    scratch: &mut Scratch<P>,
-    codec: &dyn rt_compress::Codec<P>,
-    gather_step: usize,
-) -> Result<Option<Image<P>>, CoreError> {
-    let me = ctx.rank();
-    let wide_requested = config.kernel == KernelPath::Wide;
-    let wide_active = wide_requested && P::HAS_WIDE_KERNEL;
-    let count_kernel_pixels = move |c: &mut rt_obs::Counters, source_pixels: u64| {
-        if wide_active {
-            c.wide_kernel_pixels += source_pixels;
-        } else {
-            c.scalar_kernel_pixels += source_pixels;
-        }
-        if wide_requested && !wide_active {
-            c.kernel_fallbacks += 1;
-        }
-    };
-    let mut frame = (me == root).then(|| Image::blank(local.width(), local.height()));
-    if me != root && !spans_of[me].is_empty() {
-        let enc_started = ctx.obs_start();
-        let encoded = match config.path {
-            // Concatenate into the reusable staging buffer.
-            ExecPath::Pooled => {
-                scratch.gather_pixels.clear();
-                for span in &spans_of[me] {
-                    scratch
-                        .gather_pixels
-                        .extend_from_slice(local.span_pixels(*span)?);
-                }
-                codec.encode_with(&scratch.gather_pixels, config.kernel)
-            }
-            ExecPath::PerTransfer => {
-                let cap: usize = spans_of[me].iter().map(|s| s.len).sum();
-                let mut pixels: Vec<P> = Vec::with_capacity(cap);
-                for span in &spans_of[me] {
-                    pixels.extend(local.extract(*span)?);
-                }
-                codec.encode(&pixels)
-            }
-        };
-        if config.codec != CodecKind::Raw {
-            ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-        }
-        ctx.obs_span(Phase::Encode, enc_started);
-        let wire = encoded.bytes.len() as u64;
-        ctx.obs_counters(|c| c.add_wire_bytes(config.codec.name(), wire));
-        ctx.send(root, tag(config.frame_tag, gather_step, me), encoded.bytes)?;
-    }
-    if let Some(frame) = frame.as_mut() {
-        for (owner, owner_spans) in spans_of.iter().enumerate() {
-            if owner_spans.is_empty() {
-                continue;
-            }
-            let total: usize = owner_spans.iter().map(|s| s.len).sum();
-            if owner == me {
-                match config.path {
-                    // The root's own spans copy straight from its local
-                    // frame.
-                    ExecPath::Pooled => {
-                        for span in owner_spans {
-                            frame.insert(*span, local.span_pixels(*span)?)?;
-                        }
-                    }
-                    ExecPath::PerTransfer => {
-                        let mut pixels: Vec<P> = Vec::with_capacity(total);
-                        for span in owner_spans {
-                            pixels.extend(local.extract(*span)?);
-                        }
-                        let mut at = 0usize;
-                        for span in owner_spans {
-                            frame.insert(*span, &pixels[at..at + span.len])?;
-                            at += span.len;
-                        }
-                    }
-                }
-                continue;
-            }
-            let bytes = ctx.recv(owner, tag(config.frame_tag, gather_step, owner))?;
-            if config.codec != CodecKind::Raw {
-                // Charged on the encoded wire size (see the step-receive
-                // path).
-                ctx.compute(ComputeKind::Decode, bytes.len() as u64);
-            }
-            match config.path {
-                ExecPath::Pooled => {
-                    let dec_started = ctx.obs_start();
-                    let stats = if let [span] = owner_spans.as_slice() {
-                        // One span: stream straight into the blank frame
-                        // (`over` a blank destination is an exact copy).
-                        codec.decode_over_with(
-                            &bytes,
-                            frame.span_pixels_mut(*span)?,
-                            OverDir::Front,
-                            config.kernel,
-                        )?
-                    } else {
-                        let mut staged = scratch.take_acc(total, ctx);
-                        let stats = codec.decode_over_with(
-                            &bytes,
-                            &mut staged,
-                            OverDir::Front,
-                            config.kernel,
-                        )?;
-                        let mut at = 0usize;
-                        for span in owner_spans {
-                            frame.insert(*span, &staged[at..at + span.len])?;
-                            at += span.len;
-                        }
-                        scratch.put_acc(staged);
-                        stats
-                    };
-                    ctx.obs_span(Phase::Decode, dec_started);
-                    let wire = bytes.len() as u64;
-                    ctx.obs_counters(|c| {
-                        c.blank_skipped += stats.blank_skipped as u64;
-                        c.opaque_fast += stats.opaque_fast as u64;
-                        count_kernel_pixels(c, stats.source_pixels() as u64);
-                        if wide_active {
-                            c.wide_kernel_bytes += wire;
-                        }
-                    });
-                }
-                ExecPath::PerTransfer => {
-                    let dec_started = ctx.obs_start();
-                    let pixels: Vec<P> = codec.decode(&bytes, total)?;
-                    let mut at = 0usize;
-                    for span in owner_spans {
-                        frame.insert(*span, &pixels[at..at + span.len])?;
-                        at += span.len;
-                    }
-                    ctx.obs_span(Phase::Decode, dec_started);
-                }
-            }
-        }
-    }
-    Ok(frame)
+/// The optional inputs of [`run`].
+pub struct RunOptions<'a, P: Pixel> {
+    /// Faults installed in the machine (message loss, corruption, rank
+    /// crashes); none by default.
+    pub faults: FaultPlan,
+    /// Caller-held per-rank scratch buffers, so repeated runs (one per
+    /// animation frame) reuse allocations; `None` gives every rank fresh
+    /// buffers.
+    pub pool: Option<&'a ScratchPool<P>>,
+    /// Records wall-clock phase spans and counters, accumulating across
+    /// runs. The trace and frames are identical to an unobserved run —
+    /// observation only adds wall-clock measurements, which never enter
+    /// the [`Trace`].
+    pub observer: Option<Arc<Observer>>,
 }
 
-/// Display-wall gather for the schedule path: each final owner ships, per
-/// display cell its spans overlap, one message with the overlap segments
-/// concatenated in span order; each display rank assembles its own
-/// cell-sized framebuffer. Returns the cell image on display ranks, `None`
-/// elsewhere. Dead ranks (post-repair) neither send nor receive.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gather_spans_to_wall<P: Pixel>(
-    ctx: &mut RankCtx,
-    spans_of: &[Vec<Span>],
-    local: &Image<P>,
-    config: &ComposeConfig,
-    scratch: &mut Scratch<P>,
-    codec: &dyn rt_compress::Codec<P>,
-    wall: DisplayWall,
-    gather_step: usize,
-    dead: &std::collections::BTreeSet<usize>,
-) -> Result<Option<Image<P>>, CoreError> {
-    let me = ctx.rank();
-    let raw = config.codec == CodecKind::Raw;
-    let width = local.width();
-    // Overlap of `owner`'s final spans with a cell, in deterministic span
-    // order: sender and receiver compute the same segment list locally.
-    let segments = |owner: usize, cell: rt_imaging::Rect| -> Vec<(Span, usize)> {
-        let mut segs = Vec::new();
-        for span in &spans_of[owner] {
-            segs.extend(span_cell_segments(*span, width, cell));
+impl<P: Pixel> Default for RunOptions<'_, P> {
+    fn default() -> Self {
+        Self {
+            faults: FaultPlan::none(),
+            pool: None,
+            observer: None,
         }
-        segs
-    };
-    for d in 0..wall.count() {
-        let drank = wall.rank_of(d);
-        if drank == me || spans_of[me].is_empty() || dead.contains(&drank) {
-            continue;
-        }
-        let cell = wall.cell_rect(d, width, local.height());
-        let segs = segments(me, cell);
-        if segs.is_empty() {
-            continue;
-        }
-        let total: usize = segs.iter().map(|(s, _)| s.len).sum();
-        let enc_started = ctx.obs_start();
-        let encoded = match config.path {
-            ExecPath::Pooled => {
-                scratch.gather_pixels.clear();
-                for (seg, _) in &segs {
-                    scratch
-                        .gather_pixels
-                        .extend_from_slice(local.span_pixels(*seg)?);
-                }
-                codec.encode_with(&scratch.gather_pixels, config.kernel)
-            }
-            ExecPath::PerTransfer => {
-                let mut pixels: Vec<P> = Vec::with_capacity(total);
-                for (seg, _) in &segs {
-                    pixels.extend(local.extract(*seg)?);
-                }
-                codec.encode(&pixels)
-            }
-        };
-        if !raw {
-            ctx.compute(ComputeKind::Encode, encoded.raw_bytes as u64);
-        }
-        ctx.obs_span(Phase::Encode, enc_started);
-        let wire = encoded.bytes.len() as u64;
-        ctx.obs_counters(|c| c.add_wire_bytes(config.codec.name(), wire));
-        ctx.send(
-            drank,
-            tag(config.frame_tag, gather_step, (d << 20) | me),
-            encoded.bytes,
-        )?;
     }
-    let Some(d) = wall.display_of(me) else {
-        return Ok(None);
-    };
-    let cell = wall.cell_rect(d, width, local.height());
-    let mut out = Image::blank(cell.width(), cell.height());
-    for owner in 0..spans_of.len() {
-        if dead.contains(&owner) {
-            continue;
-        }
-        let segs = segments(owner, cell);
-        if segs.is_empty() {
-            continue;
-        }
-        if owner == me {
-            for (seg, local_at) in &segs {
-                out.insert(Span::new(*local_at, seg.len), local.span_pixels(*seg)?)?;
-            }
-            continue;
-        }
-        let bytes = ctx.recv(owner, tag(config.frame_tag, gather_step, (d << 20) | owner))?;
-        if !raw {
-            ctx.compute(ComputeKind::Decode, bytes.len() as u64);
-        }
-        let total: usize = segs.iter().map(|(s, _)| s.len).sum();
-        let dec_started = ctx.obs_start();
-        let mut staged = scratch.take_acc(total, ctx);
-        match config.path {
-            ExecPath::Pooled => {
-                // `over` in front of a blank buffer is an exact copy.
-                codec.decode_over_with(&bytes, &mut staged, OverDir::Front, config.kernel)?;
-            }
-            ExecPath::PerTransfer => {
-                let pixels: Vec<P> = codec.decode(&bytes, total)?;
-                staged.clone_from_slice(&pixels);
-            }
-        }
-        let mut at = 0usize;
-        for (seg, local_at) in &segs {
-            out.insert(Span::new(*local_at, seg.len), &staged[at..at + seg.len])?;
-            at += seg.len;
-        }
-        scratch.put_acc(staged);
-        ctx.obs_span(Phase::Decode, dec_started);
-    }
-    Ok(Some(out))
 }
 
-/// Convenience harness: run `schedule` over a fresh multicomputer with the
-/// given per-rank partial images, returning per-rank outputs and the trace.
+/// The connection topology a plan-driven TCP run can restrict itself to,
+/// when that is safe: a hierarchical plan on real sockets uses only the
+/// group meshes, the leader overlay and the gather links, so a crash-free
+/// run dials `O(P·k + (P/k)²)` sockets instead of the `O(P²)` mesh.
+/// `None` (keep the full mesh) for the in-process backend (no sockets to
+/// save), for flat plans (direct-send and the gather already touch most
+/// pairs), and for resilient or faulty runs — repair fetches and
+/// reassigned leaders may route between ranks the crash-free plan never
+/// pairs.
+fn plan_topology(
+    plan: &ComposePlan,
+    config: &ComposeConfig,
+    faults: &FaultPlan,
+) -> Option<rt_net::Topology> {
+    if config.transport != TransportKind::TcpLoopback || config.resilient || !faults.is_none() {
+        return None;
+    }
+    match plan {
+        ComposePlan::Hier(h) => Some(rt_net::Topology::from_links(
+            h.links(config.root, config.display),
+        )),
+        _ => None,
+    }
+}
+
+/// Run `plan` over a fresh machine (the backend `config.transport`
+/// selects) with the given per-rank partial images, returning per-rank
+/// outputs and the merged trace.
 ///
-/// `partials[r]` is rank `r`'s rendered partial (rank order = depth order).
-pub fn run_composition<P: Pixel>(
-    schedule: &Schedule,
+/// `partials[r]` is rank `r`'s rendered partial (rank order = depth order
+/// unless the plan was permuted).
+pub fn run<P: Pixel>(
+    plan: &ComposePlan,
     partials: Vec<Image<P>>,
     config: &ComposeConfig,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    run_composition_faulty(schedule, partials, config, FaultPlan::none())
-}
-
-/// [`run_composition`] with fault injection: the multicomputer is built
-/// with `faults` installed (and `config.timeout` applied, if any), so
-/// message loss, corruption and rank crashes can be exercised end to end.
-pub fn run_composition_faulty<P: Pixel>(
-    schedule: &Schedule,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-    faults: FaultPlan,
+    options: RunOptions<'_, P>,
 ) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
     assert_eq!(
         partials.len(),
-        schedule.p,
+        plan.p(),
         "one partial image per rank required"
     );
-    let mc = Machine::build(schedule.p, config, faults, None);
-    let partials = std::sync::Mutex::new(
-        partials
-            .into_iter()
-            .map(Some)
-            .collect::<Vec<Option<Image<P>>>>(),
-    );
+    let RunOptions {
+        faults,
+        pool,
+        observer,
+    } = options;
+    let topology = plan_topology(plan, config, &faults);
+    let mc = Machine::build_with_topology(plan.p(), config, faults, observer, topology);
+    let partials = Mutex::new(partials.into_iter().map(Some).collect::<Vec<_>>());
     mc.run(move |ctx| {
         // Poison-tolerant: if another rank panicked while holding the lock,
         // this rank still takes its own slot instead of cascading the panic.
@@ -1228,80 +1017,11 @@ pub fn run_composition_faulty<P: Pixel>(
             .ok_or_else(|| CoreError::InvalidSchedule {
                 why: format!("rank {} has no partial image to compose", ctx.rank()),
             })?;
-        compose(ctx, schedule, local, config)
-    })
-}
-
-/// [`run_composition`] backed by a caller-held [`ScratchPool`], so repeated
-/// invocations (one per animation frame) reuse each rank's scratch buffers
-/// across frames. The config's [`ExecPath`] still selects the path; the
-/// pool only pays off under [`ExecPath::Pooled`].
-pub fn run_composition_pooled<P: Pixel>(
-    schedule: &Schedule,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-    pool: &ScratchPool<P>,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    assert_eq!(
-        partials.len(),
-        schedule.p,
-        "one partial image per rank required"
-    );
-    let mc = Machine::build(schedule.p, config, FaultPlan::none(), None);
-    let partials = std::sync::Mutex::new(
-        partials
-            .into_iter()
-            .map(Some)
-            .collect::<Vec<Option<Image<P>>>>(),
-    );
-    mc.run(move |ctx| {
-        let local = partials.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
-            .take()
-            .ok_or_else(|| CoreError::InvalidSchedule {
-                why: format!("rank {} has no partial image to compose", ctx.rank()),
-            })?;
-        let mut scratch = pool.checkout(ctx.rank());
-        let out = compose_with_scratch(ctx, schedule, local, config, &mut scratch);
-        pool.checkin(ctx.rank(), scratch);
-        out
-    })
-}
-
-/// [`run_composition_pooled`] with observability: every rank records
-/// wall-clock phase spans and counters into `observer`, which accumulates
-/// across repeated invocations (one per animation frame).
-///
-/// The recorded trace and composited frames are identical to an unobserved
-/// run — observation only adds wall-clock measurements, which never enter
-/// the [`Trace`].
-pub fn run_composition_observed<P: Pixel>(
-    schedule: &Schedule,
-    partials: Vec<Image<P>>,
-    config: &ComposeConfig,
-    pool: &ScratchPool<P>,
-    observer: Arc<Observer>,
-) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
-    assert_eq!(
-        partials.len(),
-        schedule.p,
-        "one partial image per rank required"
-    );
-    let mc = Machine::build(schedule.p, config, FaultPlan::none(), Some(observer));
-    let partials = Mutex::new(
-        partials
-            .into_iter()
-            .map(Some)
-            .collect::<Vec<Option<Image<P>>>>(),
-    );
-    mc.run(move |ctx| {
-        let local = partials.lock().unwrap_or_else(|e| e.into_inner())[ctx.rank()]
-            .take()
-            .ok_or_else(|| CoreError::InvalidSchedule {
-                why: format!("rank {} has no partial image to compose", ctx.rank()),
-            })?;
-        let mut scratch = pool.checkout(ctx.rank());
-        let out = compose_with_scratch(ctx, schedule, local, config, &mut scratch);
-        pool.checkin(ctx.rank(), scratch);
+        let mut scratch = pool.map_or_else(Scratch::new, |pool| pool.checkout(ctx.rank()));
+        let out = compose_plan(ctx, plan, local, config, &mut scratch);
+        if let Some(pool) = pool {
+            pool.checkin(ctx.rank(), scratch);
+        }
         out
     })
 }
@@ -1312,6 +1032,20 @@ mod tests {
     use crate::method::CompositionMethod;
     use crate::schedule::{Step, Transfer};
     use rt_imaging::pixel::Provenance;
+
+    fn run_schedule<P: Pixel>(
+        schedule: &Schedule,
+        partials: Vec<Image<P>>,
+        config: &ComposeConfig,
+        options: RunOptions<'_, P>,
+    ) -> (Vec<Result<ComposeOutput<P>, CoreError>>, Trace) {
+        run(
+            &ComposePlan::Schedule(schedule.clone()),
+            partials,
+            config,
+            options,
+        )
+    }
 
     fn provenance_partials(p: usize, w: usize, h: usize) -> Vec<Image<Provenance>> {
         (0..p)
@@ -1350,7 +1084,12 @@ mod tests {
     fn swap_produces_complete_frame_at_root() {
         let schedule = two_rank_swap(24);
         let partials = provenance_partials(2, 6, 4);
-        let (results, trace) = run_composition(&schedule, partials, &ComposeConfig::default());
+        let (results, trace) = run_schedule(
+            &schedule,
+            partials,
+            &ComposeConfig::default(),
+            RunOptions::default(),
+        );
         let out0 = results[0].as_ref().unwrap();
         let frame = out0.frame.as_ref().unwrap();
         assert!(frame
@@ -1366,7 +1105,12 @@ mod tests {
     fn owned_pixels_reported() {
         let schedule = two_rank_swap(25);
         let partials = provenance_partials(2, 5, 5);
-        let (results, _) = run_composition(&schedule, partials, &ComposeConfig::default());
+        let (results, _) = run_schedule(
+            &schedule,
+            partials,
+            &ComposeConfig::default(),
+            RunOptions::default(),
+        );
         let owned: Vec<usize> = results
             .iter()
             .map(|r| r.as_ref().unwrap().owned_pixels)
@@ -1383,7 +1127,7 @@ mod tests {
             gather: false,
             ..Default::default()
         };
-        let (results, trace) = run_composition(&schedule, partials, &config);
+        let (results, trace) = run_schedule(&schedule, partials, &config, RunOptions::default());
         assert!(results.iter().all(|r| r.as_ref().unwrap().frame.is_none()));
         assert_eq!(trace.message_count(), 2);
     }
@@ -1397,7 +1141,7 @@ mod tests {
                 codec,
                 ..Default::default()
             };
-            let (results, _) = run_composition(&schedule, partials, &config);
+            let (results, _) = run_schedule(&schedule, partials, &config, RunOptions::default());
             let frame = results[0].as_ref().unwrap().frame.clone().unwrap();
             assert!(
                 frame
@@ -1415,14 +1159,20 @@ mod tests {
         // and the same traffic shape as the classic single-frame compose;
         // only the tag values move into the frame namespace.
         let schedule = two_rank_swap(24);
-        let (base_results, base_trace) = run_composition(
+        let (base_results, base_trace) = run_schedule(
             &schedule,
             provenance_partials(2, 6, 4),
             &ComposeConfig::default(),
+            RunOptions::default(),
         );
         let config = ComposeConfig::default().with_frame(3);
         assert_eq!(config.frame_tag, rt_comm::frame_tag_base(3));
-        let (results, trace) = run_composition(&schedule, provenance_partials(2, 6, 4), &config);
+        let (results, trace) = run_schedule(
+            &schedule,
+            provenance_partials(2, 6, 4),
+            &config,
+            RunOptions::default(),
+        );
         let frame = results[0].as_ref().unwrap().frame.clone().unwrap();
         let base_frame = base_results[0].as_ref().unwrap().frame.clone().unwrap();
         assert_eq!(frame.pixels(), base_frame.pixels());
@@ -1430,7 +1180,12 @@ mod tests {
         assert_eq!(trace.bytes_sent(), base_trace.bytes_sent());
         // Frame 0 is the identity: bit-identical trace, tags included.
         let zero = ComposeConfig::default().with_frame(0);
-        let (_, zero_trace) = run_composition(&schedule, provenance_partials(2, 6, 4), &zero);
+        let (_, zero_trace) = run_schedule(
+            &schedule,
+            provenance_partials(2, 6, 4),
+            &zero,
+            RunOptions::default(),
+        );
         assert_eq!(zero_trace, base_trace);
     }
 
@@ -1457,7 +1212,7 @@ mod tests {
             root: 1,
             ..Default::default()
         };
-        let (results, _) = run_composition(&schedule, partials, &config);
+        let (results, _) = run_schedule(&schedule, partials, &config, RunOptions::default());
         assert!(results[0].as_ref().unwrap().frame.is_none());
         let frame = results[1].as_ref().unwrap().frame.clone().unwrap();
         assert!(frame
@@ -1470,7 +1225,12 @@ mod tests {
     fn size_mismatch_is_rejected() {
         let schedule = two_rank_swap(24);
         let partials = provenance_partials(2, 5, 4); // 20 px, schedule wants 24
-        let (results, _) = run_composition(&schedule, partials, &ComposeConfig::default());
+        let (results, _) = run_schedule(
+            &schedule,
+            partials,
+            &ComposeConfig::default(),
+            RunOptions::default(),
+        );
         assert!(matches!(results[0], Err(CoreError::InvalidSchedule { .. })));
     }
 
@@ -1478,7 +1238,12 @@ mod tests {
     fn marks_are_emitted() {
         let schedule = two_rank_swap(24);
         let partials = provenance_partials(2, 6, 4);
-        let (_, trace) = run_composition(&schedule, partials, &ComposeConfig::default());
+        let (_, trace) = run_schedule(
+            &schedule,
+            partials,
+            &ComposeConfig::default(),
+            RunOptions::default(),
+        );
         let report = rt_comm::replay(&trace, &rt_comm::CostModel::PAPER_EXAMPLE).unwrap();
         assert!(report.phase("compose:start", "compose:end").unwrap() > 0.0);
         assert!(report.phase("compose:start", "gather:end").unwrap() > 0.0);
@@ -1493,11 +1258,14 @@ mod tests {
             .with_seed(7)
             .drop_rate(0.10)
             .corrupt_rate(0.05);
-        let (results, trace) = run_composition_faulty(
+        let (results, trace) = run_schedule(
             &schedule,
             provenance_partials(4, 16, 16),
             &ComposeConfig::default(),
-            faults,
+            RunOptions {
+                faults,
+                ..Default::default()
+            },
         );
         let frame = results[0].as_ref().unwrap().frame.as_ref().unwrap();
         assert!(frame
@@ -1522,8 +1290,15 @@ mod tests {
         ] {
             let config = ComposeConfig::default().resilient(true);
             let faults = FaultPlan::none().crash_rank_at_step(3, 0);
-            let (results, _) =
-                run_composition_faulty(&schedule, provenance_partials(4, 16, 16), &config, faults);
+            let (results, _) = run_schedule(
+                &schedule,
+                provenance_partials(4, 16, 16),
+                &config,
+                RunOptions {
+                    faults,
+                    ..Default::default()
+                },
+            );
             let out0 = results[0].as_ref().unwrap();
             let frame = out0.frame.as_ref().unwrap();
             assert!(
@@ -1552,8 +1327,15 @@ mod tests {
         let schedule = crate::BinarySwap::new().build(4, 256).unwrap();
         let config = ComposeConfig::default().resilient(true);
         let faults = FaultPlan::none().crash_rank_at_step(0, 1);
-        let (results, _) =
-            run_composition_faulty(&schedule, provenance_partials(4, 16, 16), &config, faults);
+        let (results, _) = run_schedule(
+            &schedule,
+            provenance_partials(4, 16, 16),
+            &config,
+            RunOptions {
+                faults,
+                ..Default::default()
+            },
+        );
         // Root (rank 0) died: the lowest survivor assembles instead.
         let out1 = results[1].as_ref().unwrap();
         let info = out1.degraded.as_ref().unwrap();
@@ -1572,39 +1354,6 @@ mod tests {
             elect_root(4, &all).unwrap_err(),
             CoreError::AllRanksFailed { p: 4 }
         );
-    }
-
-    #[test]
-    fn pooled_and_per_transfer_paths_are_trace_identical() {
-        // The fused pooled path must be indistinguishable on the virtual
-        // clock: same events in the same order with the same units, and
-        // the same composited frame — across methods (incl. the pipelined
-        // method's deferred-back accumulators) and codecs.
-        for codec in CodecKind::ALL {
-            for schedule in [
-                crate::BinarySwap::new().build(4, 256).unwrap(),
-                crate::ParallelPipelined::new().build(4, 256).unwrap(),
-                crate::RotateTiling::two_n(2).build(4, 256).unwrap(),
-            ] {
-                let partials = provenance_partials(4, 16, 16);
-                let pooled = ComposeConfig::default()
-                    .with_codec(codec)
-                    .with_path(ExecPath::Pooled);
-                let baseline = pooled.with_path(ExecPath::PerTransfer);
-                let (r_pooled, t_pooled) = run_composition(&schedule, partials.clone(), &pooled);
-                let (r_base, t_base) = run_composition(&schedule, partials, &baseline);
-                assert_eq!(
-                    t_pooled, t_base,
-                    "{}/{codec:?}: traces must be bit-identical",
-                    schedule.method
-                );
-                assert_eq!(
-                    r_pooled, r_base,
-                    "{}/{codec:?}: outputs must be bit-identical",
-                    schedule.method
-                );
-            }
-        }
     }
 
     #[test]
@@ -1637,8 +1386,18 @@ mod tests {
                     .with_codec(codec)
                     .with_kernel(KernelPath::Scalar);
                 let wide_cfg = scalar_cfg.with_kernel(KernelPath::Wide);
-                let (r_s, t_s) = run_composition(&schedule, gray_partials.clone(), &scalar_cfg);
-                let (r_w, t_w) = run_composition(&schedule, gray_partials.clone(), &wide_cfg);
+                let (r_s, t_s) = run_schedule(
+                    &schedule,
+                    gray_partials.clone(),
+                    &scalar_cfg,
+                    RunOptions::default(),
+                );
+                let (r_w, t_w) = run_schedule(
+                    &schedule,
+                    gray_partials.clone(),
+                    &wide_cfg,
+                    RunOptions::default(),
+                );
                 assert_eq!(
                     t_s, t_w,
                     "{}/{codec:?}: kernel paths must be trace-identical",
@@ -1649,10 +1408,18 @@ mod tests {
                     "{}/{codec:?}: kernel paths must compose identically",
                     schedule.method
                 );
-                let (r_ps, t_ps) =
-                    run_composition(&schedule, provenance_partials(4, 16, 16), &scalar_cfg);
-                let (r_pw, t_pw) =
-                    run_composition(&schedule, provenance_partials(4, 16, 16), &wide_cfg);
+                let (r_ps, t_ps) = run_schedule(
+                    &schedule,
+                    provenance_partials(4, 16, 16),
+                    &scalar_cfg,
+                    RunOptions::default(),
+                );
+                let (r_pw, t_pw) = run_schedule(
+                    &schedule,
+                    provenance_partials(4, 16, 16),
+                    &wide_cfg,
+                    RunOptions::default(),
+                );
                 assert_eq!(
                     t_ps, t_pw,
                     "{}/{codec:?}: Provenance fallback trace",
@@ -1663,6 +1430,79 @@ mod tests {
                     "{}/{codec:?}: Provenance fallback output",
                     schedule.method
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn wide_kernel_bytes_count_both_ends_of_every_payload() {
+        // Every pixel payload is encoded once and merged once, both through
+        // the word-wise kernels on a wide-capable pixel: a clean run counts
+        // each wire byte exactly twice, in every plan family — step
+        // transfers, tile payloads, placements and every gather included.
+        use crate::hier::IntraMethod;
+        use crate::method::Method;
+        use crate::rotate::RtVariant;
+        use rt_imaging::pixel::GrayAlpha8;
+        let (p, w, h) = (8, 64, 64);
+        let gray: Vec<Image<GrayAlpha8>> = (0..p)
+            .map(|r| {
+                Image::from_fn(w, h, |x, y| match (x + 2 * y + 3 * r) % 5 {
+                    0 | 1 => GrayAlpha8::blank(),
+                    _ => GrayAlpha8::new((40 * r + x) as u8, (60 + y) as u8),
+                })
+            })
+            .collect();
+        fn observed<P: Pixel>(
+            plan: &ComposePlan,
+            partials: Vec<Image<P>>,
+            config: &ComposeConfig,
+        ) -> rt_obs::Counters {
+            let observer = Arc::new(Observer::new());
+            let options = RunOptions {
+                observer: Some(Arc::clone(&observer)),
+                ..RunOptions::default()
+            };
+            for r in run(plan, partials, config, options).0 {
+                r.unwrap();
+            }
+            observer.counters_total()
+        }
+        for method in [
+            Method::RotateTiling {
+                variant: RtVariant::TwoN,
+                blocks: 4,
+            },
+            Method::TileOwner {
+                tiles_x: 4,
+                tiles_y: 4,
+            },
+            Method::Hier {
+                k: 4,
+                intra: IntraMethod::BinarySwap,
+            },
+            Method::Puzzle {
+                tiles_x: 4,
+                tiles_y: 4,
+                budget_permille: 600,
+            },
+        ] {
+            let plan = method.plan(p, w, h).unwrap();
+            for codec in CodecKind::ALL {
+                let config = ComposeConfig::default()
+                    .with_codec(codec)
+                    .with_kernel(KernelPath::Wide);
+                let label = format!("{}/{codec:?}", plan.method_name());
+                let wide = observed(&plan, gray.clone(), &config);
+                let wire = wide.wire_bytes_for(codec.name());
+                assert!(wire > 0, "{label}: no payload traffic");
+                assert_eq!(wide.wide_kernel_bytes, 2 * wire, "{label}");
+                assert_eq!(wide.kernel_fallbacks, 0, "{label}");
+                // No word-wise kernel for Provenance: nothing counts as
+                // wide, and every merge records its fallback.
+                let prov = observed(&plan, provenance_partials(p, w, h), &config);
+                assert_eq!(prov.wide_kernel_bytes, 0, "{label}");
+                assert!(prov.kernel_fallbacks > 0, "{label}");
             }
         }
     }
@@ -1686,8 +1526,16 @@ mod tests {
         let run = |config: &ComposeConfig, partials: Vec<Image<GrayAlpha8>>| {
             let pool = ScratchPool::new();
             let observer = Arc::new(Observer::new());
-            let (results, _) =
-                run_composition_observed(&schedule, partials, config, &pool, Arc::clone(&observer));
+            let (results, _) = run_schedule(
+                &schedule,
+                partials,
+                config,
+                RunOptions {
+                    pool: Some(&pool),
+                    observer: Some(Arc::clone(&observer)),
+                    ..Default::default()
+                },
+            );
             for r in &results {
                 r.as_ref().unwrap();
             }
@@ -1712,12 +1560,15 @@ mod tests {
         // Wide on a pixel type with no wide kernel: fallbacks recorded.
         let pool = ScratchPool::new();
         let observer = Arc::new(Observer::new());
-        let (_, _) = run_composition_observed(
+        let (_, _) = run_schedule(
             &schedule,
             provenance_partials(4, 16, 16),
             &base.with_kernel(KernelPath::Wide),
-            &pool,
-            Arc::clone(&observer),
+            RunOptions {
+                pool: Some(&pool),
+                observer: Some(Arc::clone(&observer)),
+                ..Default::default()
+            },
         );
         let prov = observer.counters_total();
         assert!(prov.kernel_fallbacks > 0, "fallbacks: {prov:?}");
@@ -1762,7 +1613,8 @@ mod tests {
         let old_charge = ((step_pixels + gather_pixels) * GrayAlpha8::BYTES) as u64;
         for codec in [CodecKind::Rle, CodecKind::Trle] {
             let config = ComposeConfig::default().with_codec(codec);
-            let (_, trace) = run_composition(&schedule, partials.clone(), &config);
+            let (_, trace) =
+                run_schedule(&schedule, partials.clone(), &config, RunOptions::default());
             let mut decodes = 0u64;
             let mut total_units = 0u64;
             for events in &trace.ranks {
@@ -1799,7 +1651,12 @@ mod tests {
     fn resilient_clean_run_is_not_flagged_degraded() {
         let schedule = two_rank_swap(24);
         let config = ComposeConfig::default().resilient(true);
-        let (results, _) = run_composition(&schedule, provenance_partials(2, 6, 4), &config);
+        let (results, _) = run_schedule(
+            &schedule,
+            provenance_partials(2, 6, 4),
+            &config,
+            RunOptions::default(),
+        );
         for r in &results {
             assert!(r.as_ref().unwrap().degraded.is_none());
         }

@@ -57,8 +57,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::display::DisplayWall;
 use crate::exec::{
-    compose_with_scratch, elect_root, gather_spans_to_root, gather_spans_to_wall, ComposeConfig,
-    ComposeOutput, Scratch,
+    compose_schedule, elect_root, gather, spans_by_owner, ComposeConfig, ComposeOutput, Scratch,
+    Wire,
 };
 use crate::method::{CompositionMethod, Method};
 use crate::radix::RadixK;
@@ -325,7 +325,7 @@ impl HierPlan {
 /// Execute a [`HierPlan`] on this rank. `local` is the rank's rendered
 /// partial at global depth position `rank` — exactly the flat executors'
 /// contract, and the output frame is byte-identical to theirs.
-pub fn compose_hier<P: Pixel>(
+pub(crate) fn compose_hier<P: Pixel>(
     ctx: &mut RankCtx,
     plan: &HierPlan,
     local: Image<P>,
@@ -453,7 +453,7 @@ pub fn compose_hier<P: Pixel>(
         inter_config.root = 0;
         inter_config.display = None;
         ctx.enter_group(leaders.clone(), inter_base);
-        let inter_out = compose_with_scratch(ctx, &inter, group_frame, &inter_config, scratch);
+        let inter_out = compose_schedule(ctx, &inter, group_frame, &inter_config, scratch);
         ctx.leave_group();
         let inter_out = inter_out?;
         match inter_out.residual {
@@ -495,12 +495,7 @@ pub fn compose_hier<P: Pixel>(
         .iter()
         .map(|&(sp, li)| (sp, leaders[li]))
         .collect();
-    let mut spans_of: Vec<Vec<Span>> = vec![Vec::new(); p];
-    for &(sp, owner) in &owners {
-        if !sp.is_empty() {
-            spans_of[owner].push(sp);
-        }
-    }
+    let spans_of = spans_by_owner(p, &owners);
     let owned_pixels: usize = spans_of[me].iter().map(|s| s.len).sum();
 
     for (&li, &s) in &crashed_inter {
@@ -552,33 +547,17 @@ pub fn compose_hier<P: Pixel>(
     // `intra_steps(g) ≤ inter_base`) and every inter step — so final
     // gather tags collide with no earlier phase on any rank pair.
     let gather_step = inter_base + inter_steps + 2;
-    let codec = config.codec.build::<P>();
-    let frame = match config.display {
-        None => gather_spans_to_root(
-            ctx,
-            &spans_of,
-            &working,
-            root,
-            config,
-            scratch,
-            codec.as_ref(),
-            gather_step,
-        )?,
-        Some(wall) => {
-            let dead_set: BTreeSet<usize> = dead.keys().copied().collect();
-            gather_spans_to_wall(
-                ctx,
-                &spans_of,
-                &working,
-                config,
-                scratch,
-                codec.as_ref(),
-                wall,
-                gather_step,
-                &dead_set,
-            )?
-        }
-    };
+    let dead: BTreeSet<usize> = dead.keys().copied().collect();
+    let frame = gather(
+        ctx,
+        &Wire::new(config),
+        &spans_of,
+        &dead,
+        gather_step,
+        &working,
+        root,
+        scratch,
+    )?;
     ctx.mark("gather:end");
 
     Ok(ComposeOutput {
@@ -593,7 +572,7 @@ pub fn compose_hier<P: Pixel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tile::run_plan_composition_faulty;
+    use crate::exec::RunOptions;
     use rt_comm::FaultPlan;
     use rt_imaging::image::reference_composite;
     use rt_imaging::pixel::{GrayAlpha8, Provenance};
@@ -633,7 +612,11 @@ mod tests {
         let (w, h) = (partials[0].width(), partials[0].height());
         let plan = ComposePlan::Hier(HierPlan::build(p, k, intra, w, h).unwrap());
         plan.verify().unwrap();
-        let (results, _) = run_plan_composition_faulty(&plan, partials, config, faults);
+        let options = RunOptions {
+            faults,
+            ..RunOptions::default()
+        };
+        let (results, _) = crate::run(&plan, partials, config, options);
         results
     }
 

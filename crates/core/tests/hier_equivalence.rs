@@ -75,11 +75,7 @@ proptest! {
             plan.verify().unwrap();
             for codec in CodecKind::ALL {
                 let config = ComposeConfig::default().with_codec(codec);
-                let (results, _) = rt_core::run_plan_composition(
-                    &plan,
-                    partials.clone(),
-                    &config,
-                );
+                let (results, _) = rt_core::run(&plan, partials.clone(), &config, rt_core::RunOptions::default());
                 let out = results[0].as_ref().unwrap();
                 prop_assert_eq!(
                     out.frame.as_ref().unwrap().pixels(),
@@ -117,12 +113,7 @@ proptest! {
         let victim = leaders[group % leaders.len()];
         let faults = FaultPlan::none().crash_rank_at_step(victim, step);
         let config = ComposeConfig::default().resilient(true);
-        let (results, _) = rt_core::run_plan_composition_faulty(
-            &ComposePlan::Hier(plan),
-            partials,
-            &config,
-            faults,
-        );
+        let (results, _) = rt_core::run(&ComposePlan::Hier(plan), partials, &config, rt_core::RunOptions { faults, ..rt_core::RunOptions::default() });
         // The victim may or may not have crashed (the step can lie past
         // both phases' windows); the gathered frame lands at the lowest
         // survivor either way.

@@ -122,7 +122,12 @@ fn hier_pick_beats_best_flat_on_the_replayed_virtual_clock_at_p64() {
     let mut replayed = Vec::new();
     for method in [&pick.method, &flat.method] {
         let plan = method.plan(p, w, p).unwrap();
-        let (_, trace) = rt_core::run_plan_composition(&plan, band_partials(p, w), &config);
+        let (_, trace) = rt_core::run(
+            &plan,
+            band_partials(p, w),
+            &config,
+            rt_core::RunOptions::default(),
+        );
         let report = rt_comm::replay(&trace, &cost).unwrap();
         replayed.push(report.makespan);
     }

@@ -21,8 +21,9 @@ pub enum Phase {
     Wait,
     /// Backoff windows of the reliable-delivery layer (virtual clock).
     Backoff,
-    /// Codec decode of an incoming message (the per-transfer path; the
-    /// pooled path's fused decode+merge reports as [`Phase::Over`]).
+    /// Codec decode of an incoming message into a blank destination (the
+    /// gather and puzzle placement); a fused decode+merge into live pixels
+    /// reports as [`Phase::Over`].
     Decode,
     /// `over`-compositing incoming pixels into the local frame.
     Over,

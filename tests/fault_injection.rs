@@ -4,8 +4,9 @@
 
 use rotate_tiling::comm::{CommError, FaultPlan, Multicomputer};
 use rotate_tiling::compress::CodecKind;
-use rotate_tiling::core::exec::{compose, ComposeConfig};
+use rotate_tiling::core::exec::{ComposeConfig, Scratch};
 use rotate_tiling::core::method::CompositionMethod;
+use rotate_tiling::core::tile::{compose_plan, ComposePlan};
 use rotate_tiling::core::{CoreError, RotateTiling};
 use rotate_tiling::imaging::{Image, Provenance};
 use std::time::Duration;
@@ -18,7 +19,7 @@ fn partials(p: usize, len: usize) -> Vec<Image<Provenance>> {
 
 fn run_with_faults(faults: FaultPlan) -> (Vec<Result<(), CoreError>>, rotate_tiling::comm::Trace) {
     let p = 4;
-    let schedule = RotateTiling::two_n(2).build(p, 256).unwrap();
+    let plan = ComposePlan::Schedule(RotateTiling::two_n(2).build(p, 256).unwrap());
     let config = ComposeConfig {
         codec: CodecKind::Raw,
         root: 0,
@@ -31,7 +32,7 @@ fn run_with_faults(faults: FaultPlan) -> (Vec<Result<(), CoreError>>, rotate_til
         .with_faults(faults);
     let (results, trace) = mc.run(|ctx| {
         let local = imgs.lock().unwrap()[ctx.rank()].take().unwrap();
-        compose(ctx, &schedule, local, &config).map(|_| ())
+        compose_plan(ctx, &plan, local, &config, &mut Scratch::new()).map(|_| ())
     });
     (results, trace)
 }
@@ -103,7 +104,7 @@ fn sole_survivor_is_elected_root() {
     // the lone survivor must take over the gather root and finish with a
     // degraded frame rather than hang or error.
     let p = 4;
-    let schedule = RotateTiling::two_n(2).build(p, 256).unwrap();
+    let plan = ComposePlan::Schedule(RotateTiling::two_n(2).build(p, 256).unwrap());
     let config = ComposeConfig {
         codec: CodecKind::Raw,
         root: 0,
@@ -121,7 +122,7 @@ fn sole_survivor_is_elected_root() {
         .with_faults(faults);
     let (results, _) = mc.run(|ctx| {
         let local = imgs.lock().unwrap()[ctx.rank()].take().unwrap();
-        compose(ctx, &schedule, local, &config)
+        compose_plan(ctx, &plan, local, &config, &mut Scratch::new())
     });
     let out = results[3].as_ref().expect("survivor must complete");
     let info = out.degraded.as_ref().expect("run must be flagged degraded");
